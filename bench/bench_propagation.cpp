@@ -1,23 +1,16 @@
 // Large-topology propagation stress bench.
 //
 // The reproduction benches finish in tens of milliseconds — far too small
-// to expose hot-path costs (per-message path copies, node-based hash maps)
-// or to let the parallel sweep engine pay for its dispatch. This bench
-// synthesizes a ~5K-AS ecosystem and sweeps hundreds of member prefixes
-// through announce / prepend-change / withdraw convergence cycles, the
-// same per-prefix loop the §3.3 experiment schedule drives, at a scale
-// where the propagation engine dominates.
+// to expose hot-path costs (per-message path copies, node-based hash maps).
+// This bench synthesizes a ~5K-AS ecosystem and sweeps hundreds of member
+// prefixes through announce / prepend-change / withdraw convergence
+// cycles, the same per-prefix loop the §3.3 experiment schedule drives, at
+// a scale where the propagation engine dominates.
 //
 // Scenarios (names get RE_BENCH_SUFFIX appended, so a pre-change build
 // can record "_baseline" rows into BENCH_results.json):
-//   * stress_sweep_serial   — RE_PROP_TRIALS trial sweeps, fully serial.
-//   * stress_sweep_parallel — same trials with the network's round-sharded
-//     engine at RE_THREADS workers (default 8). The bench fails (exit 1)
-//     if any trial fingerprint diverges from the serial pass: the
-//     intra-network determinism contract at stress scale.
-//   * stress_scaling_w{1,2,4,8} — one trial per worker count, same seed,
-//     for the thread-scaling trajectory; every point must reproduce the
-//     serial fingerprint.
+//   * stress_sweep_serial   — RE_PROP_TRIALS trial sweeps, one after the
+//     other.
 //   * loop_check_micro      — import-time loop-detection / path-replace
 //     micro-loop (the AsPath::contains fast-path satellite).
 //   * probe_resolve_legacy / probe_resolve_fib — the probing-phase
@@ -41,8 +34,7 @@
 // Size knobs: RE_PROP_MEMBERS (default 4600 member ASes → ~5K total),
 // RE_PROP_PREFIXES (default 200), RE_PROP_TRIALS (default 2),
 // RE_PROP_LOOP_ITERS (default 400000), RE_PROP_BG (default 24 background
-// churn prefixes in the incremental sweep); RE_THREADS sets the sharded
-// pass's worker count ("auto" = hardware concurrency).
+// churn prefixes in the incremental sweep).
 #include <cstdio>
 #include <cstdlib>
 #include <cstdint>
@@ -58,7 +50,6 @@
 #include "runtime/env.h"
 #include "runtime/perf_counters.h"
 #include "runtime/rng_streams.h"
-#include "runtime/thread_pool.h"
 #include "topology/ecosystem.h"
 
 namespace {
@@ -103,23 +94,19 @@ StressParams stress_params() {
 
 // One trial: wire the ecosystem into a fresh network, then sweep `count`
 // member prefixes through announce → converge → prepend change → converge
-// → withdraw → converge → clear, folding convergence stats and the
-// collector log into a fingerprint. Returns (fingerprint, messages).
+// → withdraw → converge → clear, summing convergence stats.
 struct TrialResult {
-  std::uint64_t fingerprint = 0;
   std::uint64_t messages = 0;
   re::runtime::PerfCounters perf;
 };
 
 TrialResult run_sweep(const re::topo::Ecosystem& eco, std::uint64_t seed,
-                      std::size_t count, std::size_t workers = 1) {
+                      std::size_t count) {
   using namespace re;
   bgp::BgpNetwork network(seed);
   eco.build_network(network);
-  network.set_workers(workers);
 
   TrialResult out;
-  std::uint64_t fp = 1469598103934665603ull;
   std::size_t swept = 0;
   for (const topo::PrefixRecord& rec : eco.prefixes()) {
     if (swept == count) break;
@@ -140,24 +127,9 @@ TrialResult run_sweep(const re::topo::Ecosystem& eco, std::uint64_t seed,
          {announce, prepend, withdraw}) {
       out.messages += stats.messages_delivered;
       out.perf += stats.perf;
-      fp = fnv1a(fp, stats.messages_delivered);
-      fp = fnv1a(fp, stats.best_changes);
-      fp = fnv1a(fp, stats.converged_at);
     }
     network.clear_prefix(rec.prefix);
   }
-
-  // Fold the public-view churn (timestamps, peers, full paths) so any
-  // reordering or path corruption flips the fingerprint.
-  for (const bgp::CollectorUpdate& u : network.update_log().updates()) {
-    fp = fnv1a(fp, u.time);
-    fp = fnv1a(fp, u.peer.value());
-    fp = fnv1a(fp, u.withdraw ? 1 : 0);
-    for (const net::Asn asn : network.update_log().path_span(u)) {
-      fp = fnv1a(fp, asn.value());
-    }
-  }
-  out.fingerprint = fp;
   return out;
 }
 
@@ -293,7 +265,7 @@ int main() {
     return runtime::derive_stream_seed(master, trial);
   };
 
-  // ---- serial pass -------------------------------------------------------
+  // ---- stress sweep ------------------------------------------------------
   std::vector<TrialResult> serial(params.trials);
   const auto serial_start = std::chrono::steady_clock::now();
   for (std::size_t t = 0; t < params.trials; ++t) {
@@ -316,86 +288,6 @@ int main() {
                   ? static_cast<double>(total_messages) / serial_wall / 1e6
                   : 0.0);
   std::printf("[stress] perf: %s\n", perf.summary().c_str());
-
-  // ---- round-sharded pass ------------------------------------------------
-  // Same trials, propagated through the intra-network round-sharded
-  // engine. Trials stay sequential: the parallelism under test is inside
-  // each convergence run, not across trials.
-  // "auto" resolves to the hardware concurrency (never oversubscribing);
-  // an explicit count is honored as-is — this bench's 8-workers-on-1-core
-  // row measures oversubscription on purpose.
-  const std::size_t sharded_workers = runtime::env_thread_count("RE_THREADS", 8);
-  std::vector<TrialResult> parallel(params.trials);
-  const auto parallel_start = std::chrono::steady_clock::now();
-  for (std::size_t t = 0; t < params.trials; ++t) {
-    parallel[t] = run_sweep(eco, trial_seed(t), params.prefixes,
-                            sharded_workers);
-  }
-  const double parallel_wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    parallel_start)
-          .count();
-  runtime::PerfCounters parallel_perf;
-  for (const TrialResult& r : parallel) parallel_perf += r.perf;
-  timer.record(suffixed("stress_sweep_parallel"), parallel_wall,
-               sharded_workers,
-               {{"shard_balance", parallel_perf.shard_balance()},
-                {"barrier_wait_seconds", parallel_perf.barrier_wait_seconds},
-                {"merge_seconds", parallel_perf.merge_seconds}});
-  std::printf("[stress] parallel: %.3fs at %zu workers (speedup %.2fx)\n",
-              parallel_wall, sharded_workers,
-              parallel_wall > 0 ? serial_wall / parallel_wall : 0.0);
-  std::printf("[stress] parallel perf: %s\n", parallel_perf.summary().c_str());
-
-  std::uint64_t serial_digest = 1469598103934665603ull;
-  std::uint64_t parallel_digest = serial_digest;
-  for (std::size_t t = 0; t < params.trials; ++t) {
-    serial_digest = fnv1a(serial_digest, serial[t].fingerprint);
-    parallel_digest = fnv1a(parallel_digest, parallel[t].fingerprint);
-  }
-  // Stable, machine-parseable digest line — CI greps this to gate on
-  // serial/parallel classification divergence.
-  std::printf("[stress] digest serial=%016llx parallel=%016llx\n",
-              static_cast<unsigned long long>(serial_digest),
-              static_cast<unsigned long long>(parallel_digest));
-  for (std::size_t t = 0; t < params.trials; ++t) {
-    if (serial[t].fingerprint != parallel[t].fingerprint) {
-      std::printf("FAIL: trial %zu fingerprint diverged serial=%016llx "
-                  "parallel=%016llx\n",
-                  t, static_cast<unsigned long long>(serial[t].fingerprint),
-                  static_cast<unsigned long long>(parallel[t].fingerprint));
-      return 1;
-    }
-  }
-  std::printf("[stress] determinism: %zu trials bit-identical serial vs "
-              "sharded x%zu\n",
-              params.trials, sharded_workers);
-
-  // ---- thread-scaling trajectory ----------------------------------------
-  // One trial (the serial pass's first seed) per worker count; each point
-  // must land on the serial fingerprint bit-for-bit.
-  for (const std::size_t w : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                              std::size_t{8}}) {
-    const auto scale_start = std::chrono::steady_clock::now();
-    const TrialResult r = run_sweep(eco, trial_seed(0), params.prefixes, w);
-    const double scale_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      scale_start)
-            .count();
-    timer.record(suffixed(("stress_scaling_w" + std::to_string(w)).c_str()),
-                 scale_wall, w);
-    std::printf("[stress] scaling w=%zu: %.3fs (balance %.2f, barrier %.2fs, "
-                "merge %.2fs)\n",
-                w, scale_wall, r.perf.shard_balance(),
-                r.perf.barrier_wait_seconds, r.perf.merge_seconds);
-    if (r.fingerprint != serial[0].fingerprint) {
-      std::printf("FAIL: scaling w=%zu fingerprint diverged %016llx vs "
-                  "%016llx\n",
-                  w, static_cast<unsigned long long>(r.fingerprint),
-                  static_cast<unsigned long long>(serial[0].fingerprint));
-      return 1;
-    }
-  }
 
   // ---- prefix-scoped incremental re-convergence --------------------------
   // Converged baseline: measurement prefix plus RE_PROP_BG background
@@ -456,8 +348,8 @@ int main() {
     std::printf("[incr] messages_skipped_by_scope=%llu\n",
                 static_cast<unsigned long long>(
                     incr.perf.messages_skipped_by_scope));
-    // Machine-parseable digest line, same shape as the serial/parallel
-    // gate above — CI greps for full/incremental divergence.
+    // Machine-parseable digest line — CI greps for full/incremental
+    // divergence.
     std::printf("[incr] digest full=%016llx incremental=%016llx\n",
                 static_cast<unsigned long long>(full.digest),
                 static_cast<unsigned long long>(incr.digest));

@@ -3,7 +3,7 @@
 // Each seed denotes one world (multi-tier topology, R&E edges, stances)
 // and one random operation schedule over it — announce/withdraw, prepend
 // steps, session fail/restore, full/dirty/scoped/partial convergence,
-// checkpoint/restore, FIB queries, worker-width changes. The schedule
+// checkpoint/restore, FIB queries. The schedule
 // runs under the invariant suite (src/check/invariants.h): RFC 4271
 // decision soundness against a clean-room reference, Gao-Rexford export
 // safety, AS-path loop freedom, prefix-epoch coherence, snapshot

@@ -15,8 +15,8 @@
 // pool; results are bit-identical for every thread count.
 //
 // --trace FILE (or RE_TRACE=FILE; the flag wins) records every scoped
-// span — baseline convergence, each experiment round, sharded rounds on
-// their worker lanes, FIB compiles, probing — as Chrome trace-event JSON
+// span — baseline convergence, each experiment round, FIB compiles,
+// probing on the pool's worker lanes — as Chrome trace-event JSON
 // loadable in Perfetto / chrome://tracing. Tracing is telemetry only:
 // result digests are bit-identical with it on or off. A final metrics
 // dump (the obs registry) is printed after the tables.
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
               selection.stats.responsive, options.threads);
 
   // Open before the pool so every span from here on — baseline, rounds,
-  // sharded deliveries on the worker lanes — lands in one session. The
+  // probing on the worker lanes — lands in one session. The
   // destructor flushes on early exits (abort-after-round).
   obs::TraceSession trace(options.trace_path);
 

@@ -76,19 +76,6 @@ std::string switch_cdf_csv(const core::SwitchCdf& cdf) {
   return csv.str();
 }
 
-std::string timeline_csv(const core::Figure3& figure) {
-  CsvWriter csv({"config", "config_applied", "probe_start", "probe_end",
-                 "updates_after_change", "quiet_before_probe", "converged"});
-  for (const core::TimelineWindow& w : figure.windows) {
-    csv.add_row({w.config_label, std::to_string(w.config_applied),
-                 std::to_string(w.probe_start), std::to_string(w.probe_end),
-                 std::to_string(w.updates_after_change),
-                 std::to_string(w.quiet_before_probe),
-                 w.converged ? "1" : "0"});
-  }
-  return csv.str();
-}
-
 std::string inferences_csv(
     const std::vector<core::PrefixInference>& inferences) {
   CsvWriter csv({"prefix", "origin", "side", "inference", "first_re_round"});

@@ -9,7 +9,6 @@
 #include "core/classifier.h"
 #include "core/route_selection.h"
 #include "core/switch_cdf.h"
-#include "core/timeline.h"
 
 namespace re::analysis {
 
@@ -42,9 +41,6 @@ std::string figure5_csv(const core::Figure5& figure);
 
 // The Figure 8 CDF series: config label, peer-nren, participant.
 std::string switch_cdf_csv(const core::SwitchCdf& cdf);
-
-// The Figure 3 timeline: one row per probing window.
-std::string timeline_csv(const core::Figure3& figure);
 
 // Raw per-prefix inferences (prefix, origin, side, inference, switch round).
 std::string inferences_csv(const std::vector<core::PrefixInference>& inferences);

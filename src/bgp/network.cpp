@@ -13,11 +13,6 @@ namespace re::bgp {
 
 namespace {
 
-// Rounds smaller than this run serially even when workers are configured:
-// the dispatch + barrier overhead outweighs sharding a handful of
-// messages across threads.
-constexpr std::size_t kMinParallelRound = 16;
-
 using WallClock = std::chrono::steady_clock;
 
 double seconds_since(WallClock::time_point start) {
@@ -72,34 +67,6 @@ void BgpNetwork::reserve_topology(std::size_t speakers, std::size_t edges) {
   sent_.reserve(edges * 2);
 }
 
-void BgpNetwork::set_workers(std::size_t workers) {
-  requested_workers_ = workers == 0 ? 1 : workers;
-  borrowed_pool_ = nullptr;
-  if (owned_pool_ != nullptr &&
-      owned_pool_->thread_count() != requested_workers_) {
-    owned_pool_.reset();
-  }
-}
-
-void BgpNetwork::use_pool(runtime::ThreadPool* pool) {
-  borrowed_pool_ = pool;
-  if (pool != nullptr) owned_pool_.reset();
-}
-
-std::size_t BgpNetwork::workers() const noexcept {
-  if (borrowed_pool_ != nullptr) return borrowed_pool_->thread_count();
-  return requested_workers_;
-}
-
-runtime::ThreadPool* BgpNetwork::pool() {
-  if (borrowed_pool_ != nullptr) return borrowed_pool_;
-  if (requested_workers_ <= 1) return nullptr;
-  if (owned_pool_ == nullptr) {
-    owned_pool_ = std::make_unique<runtime::ThreadPool>(requested_workers_);
-  }
-  return owned_pool_.get();
-}
-
 void BgpNetwork::connect_transit(net::Asn provider, net::Asn customer,
                                  bool re_edge) {
   Speaker& p = add_speaker(provider);
@@ -124,10 +91,9 @@ net::SimTime BgpNetwork::edge_delay(net::Asn from, net::Asn to,
   //
   // The jitter is counter-hashed, not drawn from a shared RNG: message k
   // of a given (edge, prefix) flow always jitters the same way for a
-  // given network seed, no matter what else is in flight or which thread
-  // computes it. That statelessness is what makes sharded rounds and
-  // batched multi-origin sweeps reproduce serial one-at-a-time timelines
-  // exactly.
+  // given network seed, no matter what else is in flight. That
+  // statelessness is what makes batched multi-origin sweeps reproduce
+  // one-at-a-time timelines exactly.
   const std::uint32_t mix = derive_router_id(from, to);
   const net::SimTime base = 1 + (mix % 12);
   std::uint64_t h = net::mix64(seed_);
@@ -419,7 +385,6 @@ ConvergenceStats BgpNetwork::run_channels(std::span<const std::uint32_t> scope,
   const auto wall_start = WallClock::now();
   obs::SpanGuard run_span(full ? "converge.run" : "converge.run_scoped");
   ConvergenceStats stats;
-  const std::size_t width = workers();
   touched_speakers_.reset();
 
   // Seed the active-head heap from the scoped channels.
@@ -493,18 +458,13 @@ ConvergenceStats BgpNetwork::run_channels(std::span<const std::uint32_t> scope,
                 return a.seq < b.seq;
               });
     ++stats.perf.rounds;
-    // Round-size distribution (p50/p95/p99 in the metrics dump): the
-    // shape that decides whether sharding can ever pay off.
+    // Round-size distribution (p50/p95/p99 in the metrics dump).
     static auto& round_messages =
         obs::registry().histogram("converge.round_messages");
     round_messages.record(round_.size());
     {
       RE_SPAN_ARG("converge.round", "messages", round_.size());
-      if (width > 1 && round_.size() >= kMinParallelRound) {
-        run_round_parallel(stats, tick);
-      } else {
-        for (const PendingMessage& msg : round_) deliver(msg, stats, tick);
-      }
+      for (const PendingMessage& msg : round_) deliver(msg, stats, tick);
     }
     // Channels drained at this tick may have fresh emissions; their new
     // heads re-enter the heap here. (enqueue also pushes heads, so some
@@ -516,7 +476,7 @@ ConvergenceStats BgpNetwork::run_channels(std::span<const std::uint32_t> scope,
         active_.push(ActiveHead{head.deliver_at, head.seq, id});
       }
     }
-    // Round boundary: deliveries merged, heads re-seeded — the network is
+    // Round boundary: deliveries done, heads re-seeded — the network is
     // consistent and observers (the re_check invariant suite) may read it.
     if (round_observer_) round_observer_(tick, stats.perf.rounds);
   }
@@ -537,7 +497,6 @@ ConvergenceStats BgpNetwork::run_channels(std::span<const std::uint32_t> scope,
   stats.perf.speakers_touched = touched_speakers_.size();
   stats.perf.interned_paths = paths_.size();
   stats.perf.arena_bytes = paths_.arena_bytes();
-  stats.perf.intra_workers = width;
   stats.perf.checkpoints = checkpoints_;
   stats.perf.forks = forked_ ? 1 : 0;
   stats.perf.arena_shared_bytes = paths_.frozen_bytes();
@@ -562,261 +521,6 @@ ConvergenceStats BgpNetwork::run_channels(std::span<const std::uint32_t> scope,
   // only, the simulation never reads it back.
   runtime::publish_perf_metrics(stats.perf);
   return stats;
-}
-
-void BgpNetwork::run_round_parallel(ConvergenceStats& stats,
-                                    net::SimTime now) {
-  const std::size_t n = round_.size();
-
-  // Group the round by destination speaker, first-appearance order.
-  // Everything a worker needs that would touch shared mutable state on
-  // lookup (speaker index, collector-peer set — their probe counters
-  // mutate under const find) is resolved here, serially.
-  groups_.clear();
-  net::FlatMap<net::Asn, std::uint32_t> group_index;
-  group_index.reserve(std::min(n, speakers_.size()));
-  std::vector<std::uint32_t> group_of_msg(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const net::Asn dest = round_[i].to;
-    auto it = group_index.find(dest);
-    if (it == group_index.end()) {
-      it = group_index
-               .insert_or_assign(dest,
-                                 static_cast<std::uint32_t>(groups_.size()))
-               .first;
-      RoundGroup g;
-      g.to = speaker(dest);  // nullptr => messages are dropped, as serial
-      g.is_collector = collector_peers_.count(dest) != 0;
-      if (g.to != nullptr) touched_speakers_.insert(dest);
-      groups_.push_back(g);
-    }
-    group_of_msg[i] = it->second;
-  }
-
-  // Bucket message positions by group, preserving seq order within each.
-  std::vector<std::uint32_t> counts(groups_.size(), 0);
-  for (std::size_t i = 0; i < n; ++i) ++counts[group_of_msg[i]];
-  std::uint32_t offset = 0;
-  for (std::size_t g = 0; g < groups_.size(); ++g) {
-    groups_[g].begin = offset;
-    offset += counts[g];
-    groups_[g].end = groups_[g].begin;  // cursor while filling
-  }
-  round_order_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    RoundGroup& g = groups_[group_of_msg[i]];
-    round_order_[g.end++] = static_cast<std::uint32_t>(i);
-  }
-
-  // Assign groups to shards: longest group first onto the least-loaded
-  // shard (ties broken by lowest index) — deterministic LPT, so the
-  // shard layout never depends on thread scheduling.
-  const std::size_t num_shards = std::min(workers(), groups_.size());
-  std::vector<std::uint32_t> order(groups_.size());
-  for (std::size_t g = 0; g < order.size(); ++g) {
-    order[g] = static_cast<std::uint32_t>(g);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return counts[a] > counts[b];
-                   });
-  std::vector<std::vector<std::uint32_t>> shard_groups(num_shards);
-  std::vector<std::uint64_t> shard_load(num_shards, 0);
-  std::uint64_t peak_load = 0;
-  for (const std::uint32_t g : order) {
-    std::size_t target = 0;
-    for (std::size_t s = 1; s < num_shards; ++s) {
-      if (shard_load[s] < shard_load[target]) target = s;
-    }
-    shard_groups[target].push_back(g);
-    shard_load[target] += counts[g];
-    peak_load = std::max(peak_load, shard_load[target]);
-  }
-  group_of_shard_.clear();
-  shard_ranges_.resize(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    shard_ranges_[s].first = static_cast<std::uint32_t>(group_of_shard_.size());
-    group_of_shard_.insert(group_of_shard_.end(), shard_groups[s].begin(),
-                           shard_groups[s].end());
-    shard_ranges_[s].second = static_cast<std::uint32_t>(group_of_shard_.size());
-  }
-
-  ++stats.perf.parallel_rounds;
-  stats.perf.sharded_messages += n;
-  stats.perf.shard_peak_messages += peak_load;
-
-  // Worker phase: every shard stages its groups against a read-only view
-  // of the shared maps and the path table. Per-shard state only.
-  if (worker_states_.size() < num_shards) worker_states_.resize(num_shards);
-  effects_.assign(n, MessageEffects{});
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    WorkerState& ws = worker_states_[s];
-    ws.stager.attach(&paths_);
-    ws.stager.begin_staging();
-    ws.sent_overlay.reset();
-    ws.collector_overlay.reset();
-    ws.emissions.clear();
-    ws.collector_records.clear();
-    ws.busy_seconds = 0.0;
-  }
-  const auto phase_start = WallClock::now();
-  pool()->parallel_for(num_shards, [&](std::size_t s) {
-    const auto busy_start = WallClock::now();
-    // One span per shard, emitted from whichever pool thread ran it —
-    // this is what draws the worker lanes in the exported trace.
-    RE_SPAN_ARG("converge.shard", "messages", shard_load[s]);
-    WorkerState& ws = worker_states_[s];
-    const auto [shard_begin, shard_end] = shard_ranges_[s];
-    for (std::uint32_t gi = shard_begin; gi < shard_end; ++gi) {
-      const RoundGroup& group = groups_[group_of_shard_[gi]];
-      if (group.to == nullptr) continue;
-      for (std::uint32_t p = group.begin; p < group.end; ++p) {
-        const std::uint32_t i = round_order_[p];
-        effects_[i].worker = static_cast<std::uint32_t>(s);
-        stage_message(round_[i], group, ws, effects_[i], now);
-      }
-    }
-    ws.busy_seconds = seconds_since(busy_start);
-  });
-  const double phase_wall = seconds_since(phase_start);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    const double idle = phase_wall - worker_states_[s].busy_seconds;
-    if (idle > 0.0) stats.perf.barrier_wait_seconds += idle;
-  }
-
-  // Merge phase, serial, in seq order — the canonical order a serial run
-  // would have processed the round in. Pending path ids resolve here, so
-  // the intern order (and therefore every PathId) matches serial exactly;
-  // delivery times, seqs, collector log records and suppression state all
-  // materialize in that same order.
-  const auto merge_start = WallClock::now();
-  RE_SPAN_ARG("converge.merge", "messages", n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const PendingMessage& msg = round_[i];
-    MessageEffects& eff = effects_[i];
-    if (!eff.delivered) continue;
-    ++stats.messages_delivered;
-    if (eff.changed) ++stats.best_changes;
-    WorkerState& ws = worker_states_[eff.worker];
-    for (std::uint32_t e = eff.emit_begin; e < eff.emit_end; ++e) {
-      StagedEmission& em = ws.emissions[e];
-      if (!em.update.withdraw) em.update.path = ws.stager.resolve(em.update.path);
-      enqueue(msg.to, em.to, em.update, now);
-    }
-    if (eff.collector != kNoCollectorRecord) {
-      StagedCollector& rec = ws.collector_records[eff.collector];
-      if (rec.withdraw) {
-        log_.record(now, msg.to, msg.update.prefix, true,
-                    std::span<const net::Asn>{});
-      } else {
-        const PathId exported = ws.stager.resolve(rec.path);
-        log_.record(now, msg.to, msg.update.prefix, false,
-                    paths_.span(exported));
-      }
-    }
-  }
-  // Fold the suppression-state overlays into the shared maps. Each key
-  // belongs to exactly one destination speaker and each speaker ran on
-  // exactly one shard, so the overlays never conflict; every staged path
-  // was emitted (a pending id can never be suppressed as a duplicate —
-  // suppression requires id equality with an already-interned path), so
-  // resolve() below is a memoized lookup, never a fresh intern.
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    WorkerState& ws = worker_states_[s];
-    for (auto& [key, state] : ws.sent_overlay) {
-      SentState resolved = state;
-      if (!resolved.withdrawn) resolved.path = ws.stager.resolve(resolved.path);
-      sent_.insert_or_assign(key, resolved);
-    }
-    for (auto& [key, state] : ws.collector_overlay) {
-      SentState resolved = state;
-      if (!resolved.withdrawn) resolved.path = ws.stager.resolve(resolved.path);
-      collector_sent_.insert_or_assign(key, resolved);
-    }
-    ws.stager.end_staging();
-  }
-  stats.perf.merge_seconds += seconds_since(merge_start);
-}
-
-void BgpNetwork::stage_message(const PendingMessage& msg,
-                               const RoundGroup& group, WorkerState& worker,
-                               MessageEffects& effects, net::SimTime now) {
-  effects.delivered = true;
-  effects.emit_begin = static_cast<std::uint32_t>(worker.emissions.size());
-  const bool changed = group.to->receive(msg.from, msg.update, now);
-  effects.changed = changed;
-  if (changed) stage_flush(*group.to, msg.update.prefix, worker);
-  if (group.is_collector) {
-    // Mirrors serial control flow: flush_exports tail-records the
-    // collector view after a change; an unchanged delivery re-checks it
-    // directly (the commodity-VRF view may move while best stays put).
-    stage_collector(*group.to, msg.update.prefix, worker, effects);
-  }
-  effects.emit_end = static_cast<std::uint32_t>(worker.emissions.size());
-}
-
-void BgpNetwork::stage_flush(Speaker& from, const net::Prefix& prefix,
-                             WorkerState& worker) {
-  const Speaker::ExportProbe probe = from.export_probe(prefix);
-  for (const Session& session : from.sessions()) {
-    if (from.session_failed(session.neighbor, prefix)) continue;
-    const EdgePrefixKey key{from.asn(), session.neighbor, prefix};
-    auto announcement = probe.announcement(session, &worker.stager);
-    // Current sent-state: this round's overlay shadows the shared map
-    // (which workers only probe through the stat-free concurrent path).
-    const SentState* cur = nullptr;
-    if (auto it = worker.sent_overlay.find(key); it != worker.sent_overlay.end()) {
-      cur = &it->second;
-    } else {
-      cur = sent_.find_concurrent(key);
-    }
-    if (announcement) {
-      if (cur != nullptr && !cur->withdrawn &&
-          cur->path == announcement->path &&
-          cur->origin == announcement->origin) {
-        continue;  // nothing new to say
-      }
-      worker.sent_overlay.insert_or_assign(
-          key, SentState{false, announcement->path, announcement->origin});
-      worker.emissions.push_back(StagedEmission{session.neighbor, *announcement});
-    } else {
-      if (cur == nullptr || cur->withdrawn) continue;
-      worker.sent_overlay.insert_or_assign(key, SentState{});
-      UpdateMessage withdraw;
-      withdraw.prefix = prefix;
-      withdraw.withdraw = true;
-      worker.emissions.push_back(StagedEmission{session.neighbor, withdraw});
-    }
-  }
-}
-
-void BgpNetwork::stage_collector(const Speaker& peer, const net::Prefix& prefix,
-                                 WorkerState& worker, MessageEffects& effects) {
-  const Route* view =
-      peer.vrf_split_export() ? peer.best_commodity(prefix) : peer.best(prefix);
-  const EdgePrefixKey key{peer.asn(), net::Asn{}, prefix};
-  const SentState* cur = nullptr;
-  if (auto it = worker.collector_overlay.find(key);
-      it != worker.collector_overlay.end()) {
-    cur = &it->second;
-  } else {
-    cur = collector_sent_.find_concurrent(key);
-  }
-  if (view != nullptr) {
-    const PathId exported = worker.stager.prepended(view->path, peer.asn(), 1);
-    if (cur != nullptr && !cur->withdrawn && cur->path == exported) return;
-    worker.collector_overlay.insert_or_assign(
-        key, SentState{false, exported, view->origin});
-    effects.collector = static_cast<std::uint32_t>(worker.collector_records.size());
-    worker.collector_records.push_back(
-        StagedCollector{false, exported, view->origin});
-  } else {
-    if (cur == nullptr || cur->withdrawn) return;
-    worker.collector_overlay.insert_or_assign(key, SentState{});
-    effects.collector = static_cast<std::uint32_t>(worker.collector_records.size());
-    worker.collector_records.push_back(
-        StagedCollector{true, PathId{}, Origin::kIgp});
-  }
 }
 
 ConvergenceStats BgpNetwork::settle(const net::Prefix& prefix) {

@@ -12,16 +12,10 @@
 //
 // Propagation is round-synchronous: the engine drains the queue one
 // simulated-time tick at a time (messages emitted in a round always
-// deliver strictly later, so a round is closed under causality). With
-// workers configured (set_workers / use_pool / RE_THREADS), a round's
-// messages are sharded by destination speaker across the thread pool —
-// each speaker's RIB is touched by exactly one worker per round, so the
-// decision process runs lock-free — and the emitted updates are staged
-// per worker, then merged into the global queue serially in canonical
-// (time, seq) order. Interning, sent-state writes, collector log appends
-// and delivery-time assignment all happen in that serial merge, in
-// exactly the order a serial run performs them, which makes the parallel
-// schedule bit-identical to the serial one (see DESIGN.md §5c).
+// deliver strictly later, so a round is closed under causality) and
+// delivers each round serially in global (deliver_at, seq) order.
+// Parallelism lives above the network: independent trials each own one
+// (see DESIGN.md §5d).
 //
 // The message pipeline is partitioned by prefix: each prefix owns a
 // channel (its own priority queue), and a run drains a chosen set of
@@ -60,7 +54,6 @@
 #include "netbase/flat_map.h"
 #include "netbase/rng.h"
 #include "runtime/perf_counters.h"
-#include "runtime/thread_pool.h"
 
 namespace re::bgp {
 
@@ -90,22 +83,6 @@ class BgpNetwork {
   PathTable& paths() noexcept { return paths_; }
   const PathTable& paths() const noexcept { return paths_; }
 
-  // --- Intra-network parallelism ------------------------------------------
-
-  // Shards each propagation round across `workers` threads (1 disables;
-  // the pool is created lazily on the first parallel round). Results are
-  // bit-identical to serial execution at any worker count.
-  void set_workers(std::size_t workers);
-
-  // Borrows an external pool instead of owning one (nullptr = serial).
-  // The pool must not be running other work while this network converges:
-  // ThreadPool::parallel_for is not reentrant, so a network driven from
-  // inside another pool job must stay serial (the default).
-  void use_pool(runtime::ThreadPool* pool);
-
-  // The round-sharding width the next run will use (1 = serial).
-  std::size_t workers() const noexcept;
-
   // --- Topology construction --------------------------------------------
 
   Speaker& add_speaker(net::Asn asn);
@@ -125,7 +102,7 @@ class BgpNetwork {
 
   // Every speaker has a dense index in add_speaker order, stable for the
   // network's lifetime. Subsystems that build per-AS arrays (the compiled
-  // catchment FIB, shard planners) key them by this index instead of
+  // catchment FIB) key them by this index instead of
   // hashing ASNs per query.
   static constexpr std::size_t kNoSpeakerIndex = static_cast<std::size_t>(-1);
   // Stat-free lookup (find_concurrent): dense-index queries come from the
@@ -220,7 +197,7 @@ class BgpNetwork {
   // Round-boundary observer: invoked after every propagation round (one
   // simulated-time tick) with the tick just drained and the 1-based round
   // index within the current run. The network is internally consistent at
-  // the call — the round's deliveries are merged and channel heads
+  // the call — the round's deliveries are done and channel heads
   // re-seeded — so observers may read any const API. They must NOT mutate
   // the network or start a nested run (the run loop is active). An empty
   // function clears the hook. Observers survive restore(); forks start
@@ -260,12 +237,12 @@ class BgpNetwork {
   Snapshot checkpoint();
 
   // Replaces this network's state with the snapshot's (the clock rewinds
-  // to the snapshot time). Worker configuration is kept.
+  // to the snapshot time).
   void restore(const Snapshot& snap);
 
   // Content digest over the canonical serialization of the full state.
   // The bit-identity contract: a forked run and a fresh run that executed
-  // the same schedule produce equal digests, at any worker count.
+  // the same schedule produce equal digests.
   std::uint64_t state_digest();
 
   // Content digest over everything the network knows about one prefix:
@@ -361,49 +338,6 @@ class BgpNetwork {
     std::uint32_t sent = 0;
   };
 
-  // --- Round-parallel staging ----------------------------------------------
-
-  // One update a worker decided to emit; delivery time, seq and (for
-  // pending path ids) the final interned id are assigned at merge.
-  struct StagedEmission {
-    net::Asn to;
-    UpdateMessage update;  // update.path may be a stager-pending id
-  };
-  // A collector-log append a worker decided on (path may be pending).
-  struct StagedCollector {
-    bool withdraw = false;
-    PathId path;
-    Origin origin = Origin::kIgp;
-  };
-  static constexpr std::uint32_t kNoCollectorRecord =
-      static_cast<std::uint32_t>(-1);
-  // Per-delivered-message outcome, indexed by round position so the merge
-  // can replay effects in canonical (time, seq) order.
-  struct MessageEffects {
-    std::uint32_t worker = 0;
-    std::uint32_t emit_begin = 0, emit_end = 0;  // range in worker emissions
-    std::uint32_t collector = kNoCollectorRecord;
-    bool delivered = false;
-    bool changed = false;
-  };
-  // Share-nothing per-worker state, reused across rounds.
-  struct WorkerState {
-    PathStager stager;
-    net::FlatMap<EdgePrefixKey, SentState, EdgePrefixKeyHash> sent_overlay;
-    net::FlatMap<EdgePrefixKey, SentState, EdgePrefixKeyHash> collector_overlay;
-    std::vector<StagedEmission> emissions;
-    std::vector<StagedCollector> collector_records;
-    double busy_seconds = 0.0;
-  };
-  // A destination-speaker shard assignment for one round: `indices` are
-  // positions into the round buffer, grouped by destination, seq-ordered
-  // within each group.
-  struct RoundGroup {
-    Speaker* to = nullptr;
-    bool is_collector = false;
-    std::uint32_t begin = 0, end = 0;  // range in round_order_
-  };
-
   // Queues this speaker's current exports for `prefix` toward all
   // sessions, suppressing duplicates. `now` is the simulated time the
   // flush happens at — the current round's tick inside a run (which may
@@ -418,22 +352,9 @@ class BgpNetwork {
   void enqueue(net::Asn from, net::Asn to, const UpdateMessage& update,
                net::SimTime now);
 
-  // Serial delivery of one message at its tick (the reference semantics).
+  // Delivers one message at its tick.
   void deliver(const PendingMessage& msg, ConvergenceStats& stats,
                net::SimTime now);
-
-  // Parallel round: shard by destination, stage, merge canonically.
-  void run_round_parallel(ConvergenceStats& stats, net::SimTime now);
-
-  // Worker phase for one message; stages effects instead of mutating
-  // shared state.
-  void stage_message(const PendingMessage& msg, const RoundGroup& group,
-                     WorkerState& worker, MessageEffects& effects,
-                     net::SimTime now);
-  void stage_flush(Speaker& from, const net::Prefix& prefix,
-                   WorkerState& worker);
-  void stage_collector(const Speaker& peer, const net::Prefix& prefix,
-                       WorkerState& worker, MessageEffects& effects);
 
   // The channel slot for `prefix`, created on first use.
   std::uint32_t channel_for(const net::Prefix& prefix);
@@ -457,8 +378,6 @@ class BgpNetwork {
 
   net::SimTime edge_delay(net::Asn from, net::Asn to, const net::Prefix& prefix,
                           std::uint32_t flow_index) const;
-
-  runtime::ThreadPool* pool();
 
   net::SimClock clock_;
   std::uint64_t seed_;
@@ -492,17 +411,7 @@ class BgpNetwork {
   net::FlatMap<EdgePrefixKey, SentState, EdgePrefixKeyHash> collector_sent_;
   UpdateLog log_;
 
-  // Round-parallel engine state (scratch reused across rounds).
-  std::size_t requested_workers_ = 1;
-  runtime::ThreadPool* borrowed_pool_ = nullptr;
-  std::unique_ptr<runtime::ThreadPool> owned_pool_;
-  std::vector<PendingMessage> round_;        // current round, seq order
-  std::vector<std::uint32_t> round_order_;   // positions grouped by dest
-  std::vector<RoundGroup> groups_;
-  std::vector<std::uint32_t> group_of_shard_;  // flattened shard -> groups
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> shard_ranges_;
-  std::vector<MessageEffects> effects_;
-  std::vector<WorkerState> worker_states_;
+  std::vector<PendingMessage> round_;  // current round, seq order (scratch)
 
   // Snapshots for reporting per-run probe-stat deltas in ConvergenceStats.
   std::uint64_t reported_lookups_ = 0;

@@ -102,34 +102,6 @@ PathId PathTable::intern(std::span<const net::Asn> asns) {
   return intern_hashed(asns, hash_span(asns));
 }
 
-std::optional<PathId> PathTable::find_hashed(
-    std::span<const net::Asn> asns, std::uint64_t hash) const noexcept {
-  // Sealed contents first (the common case for warm forks), then the
-  // local extension. A path lives in exactly one of the two: intern only
-  // appends locally after missing the base.
-  if (base_ != nullptr) {
-    const std::size_t base_mask = base_->slots.size() - 1;
-    std::size_t index = hash & base_mask;
-    while (base_->slots[index] != 0) {
-      const std::uint32_t entry_index = base_->slots[index] - 1;
-      if (base_slot_matches(entry_index, hash, asns)) {
-        return PathId{entry_index};
-      }
-      index = (index + 1) & base_mask;
-    }
-  }
-  const std::size_t mask = slots_.size() - 1;
-  std::size_t index = hash & mask;
-  while (slots_[index] != 0) {
-    const std::uint32_t local_index = slots_[index] - 1;
-    if (local_slot_matches(local_index, hash, asns)) {
-      return PathId{base_count_ + local_index};
-    }
-    index = (index + 1) & mask;
-  }
-  return std::nullopt;
-}
-
 PathId PathTable::intern_hashed(std::span<const net::Asn> asns,
                                 std::uint64_t hash) {
   if (base_ != nullptr) {
@@ -205,51 +177,6 @@ std::size_t PathTable::unique_count(PathId id) const {
   std::sort(sorted.begin(), sorted.end());
   return static_cast<std::size_t>(
       std::unique(sorted.begin(), sorted.end()) - sorted.begin());
-}
-
-PathId PathStager::prepended(PathId base, net::Asn asn, std::size_t copies) {
-  if (!staging_) return table_->prepended(base, asn, copies);
-  if (copies == 0) return base;
-  const auto base_span = table_->span(base);  // base ids are always real
-  scratch_.clear();
-  scratch_.reserve(base_span.size() + copies);
-  scratch_.insert(scratch_.end(), copies, asn);
-  scratch_.insert(scratch_.end(), base_span.begin(), base_span.end());
-
-  const std::uint64_t hash = PathTable::hash_span(scratch_);
-  if (const auto hit = table_->find_hashed(scratch_, hash)) return *hit;
-
-  // Dedupe against this round's own pending entries so identical staged
-  // contents share one pending id (the duplicate-suppression compare in
-  // flush staging relies on content-equal => id-equal). Pending sets are
-  // tiny — misses are rare once the table warms up — so a linear scan
-  // beats maintaining a hash table per round.
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    const Pending& p = pending_[i];
-    if (p.hash != hash || p.length != scratch_.size()) continue;
-    if (std::equal(scratch_.begin(), scratch_.end(), arena_.begin() + p.offset)) {
-      return PathId{kPendingBit | static_cast<std::uint32_t>(i)};
-    }
-  }
-  Pending p;
-  p.offset = static_cast<std::uint32_t>(arena_.size());
-  p.length = static_cast<std::uint32_t>(scratch_.size());
-  p.hash = hash;
-  arena_.insert(arena_.end(), scratch_.begin(), scratch_.end());
-  const std::uint32_t index = static_cast<std::uint32_t>(pending_.size());
-  pending_.push_back(p);
-  return PathId{kPendingBit | index};
-}
-
-PathId PathStager::resolve(PathId id) {
-  if (!is_pending(id)) return id;
-  Pending& p = pending_[id.value() & ~kPendingBit];
-  if (!p.done) {
-    p.resolved = table_->intern_prehashed(
-        std::span<const net::Asn>{arena_.data() + p.offset, p.length}, p.hash);
-    p.done = true;
-  }
-  return p.resolved;
 }
 
 std::string PathTable::to_string(PathId id) const {

@@ -30,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -85,25 +84,6 @@ class PathTable {
   // compare on hit; appends to the arena on miss.
   PathId intern(std::span<const net::Asn> asns);
   PathId intern(const AsPath& path) { return intern(path.asns()); }
-
-  // Read-only probe: the id of `asns` if already interned. Never mutates
-  // the table, so concurrent callers are safe while no thread interns —
-  // the lookup the round-parallel engine's workers use (see PathStager).
-  std::optional<PathId> find(std::span<const net::Asn> asns) const noexcept {
-    return find_hashed(asns, hash_span(asns));
-  }
-  std::optional<PathId> find_hashed(std::span<const net::Asn> asns,
-                                    std::uint64_t hash) const noexcept;
-
-  // Interns contents whose hash the caller already computed (PathStager's
-  // resolve step re-uses the staging-time hash).
-  PathId intern_prehashed(std::span<const net::Asn> asns, std::uint64_t hash) {
-    return intern_hashed(asns, hash);
-  }
-
-  // Content hash used by the slot table; exposed so staged (off-table)
-  // candidates hash identically to interned ones.
-  static std::uint64_t hash_span(std::span<const net::Asn> asns) noexcept;
 
   // The id of `id`'s path with `asn` prepended `copies` times — the
   // export-side prepend as an intern-on-miss table op (no AsPath
@@ -162,6 +142,8 @@ class PathTable {
     return {asns.begin(), asns.end()};
   }
 
+  // Content hash used by the slot table.
+  static std::uint64_t hash_span(std::span<const net::Asn> asns) noexcept;
   // Interns pre-hashed contents (the single insertion path).
   PathId intern_hashed(std::span<const net::Asn> asns, std::uint64_t hash);
   bool local_slot_matches(std::uint32_t local_index, std::uint64_t hash,
@@ -213,73 +195,5 @@ inline std::size_t PathTable::length(PathId id) const noexcept {
   if (v >= base_count_) return entries_[v - base_count_].length;
   return base_->entries[v].length;
 }
-
-// Worker-local intern staging for the round-parallel propagation engine.
-//
-// While a round's messages are sharded across workers, the shared
-// PathTable is strictly read-only: every worker owns a PathStager whose
-// prepended() probes the table without mutating it. A hit returns the
-// real id; a miss stages the contents in the stager's private arena and
-// returns a *pending* id (high bit set). Pending ids never escape the
-// round — the coordinator calls resolve() during the serial merge, in
-// canonical message order, so ids are assigned to the arena exactly as a
-// serial run would have assigned them (dense, first-intern order).
-//
-// In direct mode (the default, used by the serial path) prepended()
-// forwards straight to the table; the two modes share every call site.
-class PathStager {
- public:
-  PathStager() = default;
-  explicit PathStager(PathTable* table) : table_(table) {}
-
-  void attach(PathTable* table) { table_ = table; }
-
-  // Enters staged (read-only-table) mode, dropping any previous round's
-  // pending state. end_staging() returns to direct mode.
-  void begin_staging() {
-    staging_ = true;
-    arena_.clear();
-    pending_.clear();
-  }
-  void end_staging() { staging_ = false; }
-  bool staging() const noexcept { return staging_; }
-
-  static constexpr bool is_pending(PathId id) noexcept {
-    return (id.value() & kPendingBit) != 0;
-  }
-
-  // `base`'s path with `asn` prepended `copies` times. `base` must be a
-  // real id (pending ids only ever come out of this stager and are
-  // resolved before they reach a RIB or queue).
-  PathId prepended(PathId base, net::Asn asn, std::size_t copies);
-
-  // Pending-aware contents lookup (valid until the next prepended()).
-  std::span<const net::Asn> span(PathId id) const noexcept {
-    if (!is_pending(id)) return table_->span(id);
-    const Pending& p = pending_[id.value() & ~kPendingBit];
-    return {arena_.data() + p.offset, p.length};
-  }
-
-  // Merge phase: interns a pending id's contents into the table (memoized,
-  // so repeated resolution of the same pending id is stable). Real ids
-  // pass through untouched.
-  PathId resolve(PathId id);
-
- private:
-  static constexpr std::uint32_t kPendingBit = 0x80000000u;
-  struct Pending {
-    std::uint32_t offset = 0;
-    std::uint32_t length = 0;
-    std::uint64_t hash = 0;
-    PathId resolved;       // valid once `done`
-    bool done = false;
-  };
-
-  PathTable* table_ = nullptr;
-  bool staging_ = false;
-  std::vector<net::Asn> arena_;    // staged contents, round-local
-  std::vector<Pending> pending_;
-  std::vector<net::Asn> scratch_;  // candidate buffer for prepended()
-};
 
 }  // namespace re::bgp

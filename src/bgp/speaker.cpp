@@ -268,10 +268,6 @@ std::vector<Route> Speaker::candidates(const net::Prefix& prefix) const {
   return out;
 }
 
-std::vector<Route> Speaker::all_candidates(const net::Prefix& prefix) const {
-  return candidates(prefix);
-}
-
 Speaker::ExportProbe Speaker::export_probe(const net::Prefix& prefix) const {
   ExportProbe probe;
   probe.speaker_ = this;
@@ -286,7 +282,7 @@ Speaker::ExportProbe Speaker::export_probe(const net::Prefix& prefix) const {
 }
 
 std::optional<UpdateMessage> Speaker::ExportProbe::announcement(
-    const Session& to, PathStager* stager) const {
+    const Session& to) const {
   if (state_ == nullptr || !valid_) return std::nullopt;
   const Route& best = *state_->best;
   const Speaker& s = *speaker_;
@@ -318,16 +314,12 @@ std::optional<UpdateMessage> Speaker::ExportProbe::announcement(
   msg.re_only = best.re_only;
   const std::size_t copies = 1 + s.export_.prepends_for(to);
   if (copies != cached_copies_) {
-    cached_path_ = stager != nullptr
-                       ? stager->prepended(best.path, s.asn_, copies)
-                       : s.paths_->prepended(best.path, s.asn_, copies);
+    cached_path_ = s.paths_->prepended(best.path, s.asn_, copies);
     cached_copies_ = copies;
   }
   msg.path = cached_path_;
   if (s.export_.has_path_filters() &&
-      !s.export_.path_allowed(to.neighbor, stager != nullptr
-                                               ? stager->span(msg.path)
-                                               : s.paths_->span(msg.path))) {
+      !s.export_.path_allowed(to.neighbor, s.paths_->span(msg.path))) {
     return std::nullopt;
   }
   return msg;
@@ -361,21 +353,6 @@ std::vector<net::Prefix> Speaker::known_prefixes() const {
   for (const auto& [prefix, state] : rib_) out.push_back(prefix);
   std::sort(out.begin(), out.end());
   return out;
-}
-
-void Speaker::add_probe_stats(std::uint64_t& lookups,
-                              std::uint64_t& probes) const {
-  const auto add = [&](const auto& stats) {
-    lookups += stats.lookups;
-    probes += stats.probes;
-  };
-  add(rib_.probe_stats());
-  add(session_index_.probe_stats());
-  add(failed_.probe_stats());
-  for (const auto& [prefix, state] : rib_) {
-    add(state.in.probe_stats());
-    add(state.damping.probe_stats());
-  }
 }
 
 // --- Checkpoint/fork --------------------------------------------------------

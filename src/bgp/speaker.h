@@ -151,8 +151,6 @@ class Speaker {
 
   // All Adj-RIB-In candidates currently eligible for selection.
   std::vector<Route> candidates(const net::Prefix& prefix) const;
-  // Including damping-suppressed ones.
-  std::vector<Route> all_candidates(const net::Prefix& prefix) const;
 
   bool has_route(const net::Prefix& prefix) const { return best(prefix) != nullptr; }
 
@@ -180,12 +178,7 @@ class Speaker {
   // (sessions overwhelmingly share one prepend count).
   class ExportProbe {
    public:
-    // `stager` routes export-side prepend interning: null means direct
-    // table interning (the serial path); a staging PathStager keeps the
-    // shared table read-only and may hand back pending ids (the
-    // round-parallel worker phase — see network.h).
-    std::optional<UpdateMessage> announcement(const Session& to,
-                                              PathStager* stager = nullptr) const;
+    std::optional<UpdateMessage> announcement(const Session& to) const;
 
    private:
     friend class Speaker;
@@ -222,10 +215,6 @@ class Speaker {
   // --- Maintenance ----------------------------------------------------------
   void clear_prefix(const net::Prefix& prefix);
   std::vector<net::Prefix> known_prefixes() const;
-
-  // Cumulative probe statistics over the speaker-level FlatMaps (RIB and
-  // session index), for perf diagnostics.
-  void add_probe_stats(std::uint64_t& lookups, std::uint64_t& probes) const;
 
  private:
   struct PrefixState {

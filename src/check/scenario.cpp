@@ -55,7 +55,6 @@ const char* to_string(OpKind kind) {
     case OpKind::kCheckpoint: return "checkpoint";
     case OpKind::kRestoreSnapshot: return "restore-snapshot";
     case OpKind::kFibQuery: return "fib-query";
-    case OpKind::kSetWorkers: return "set-workers";
   }
   return "?";
 }
@@ -178,8 +177,7 @@ Scenario make_scenario(std::uint64_t seed, std::size_t op_count) {
     else if (draw < 92) kind = OpKind::kRunPartial;
     else if (draw < 96) kind = OpKind::kCheckpoint;
     else if (draw < 99) kind = OpKind::kRestoreSnapshot;
-    else if (draw < 107) kind = OpKind::kFibQuery;
-    else kind = OpKind::kSetWorkers;
+    else kind = OpKind::kFibQuery;
     ScenarioOp op;
     op.kind = kind;
     op.a = static_cast<std::uint32_t>(rng.below(64));
@@ -235,7 +233,7 @@ ScenarioResult run_scenario(const Scenario& scenario,
     return suite.fib_agreement(network, prefix, cache.terminals, *cache.fib);
   };
 
-  // A serially-converged fork of the current state: the oracle every
+  // A fully converged fork of the current state: the oracle every
   // scoped/dirty/full run is compared against.
   const auto shadow_full = [&]() {
     auto snap = network.checkpoint();
@@ -283,7 +281,7 @@ ScenarioResult run_scenario(const Scenario& scenario,
           if (network.state_digest() != shadow->state_digest()) {
             violation = make_violation(
                 "full-vs-fork",
-                "full run diverged from a serially-converged fork");
+                "full run diverged from a fully converged fork");
           }
         } else {
           network.run_to_convergence();
@@ -354,11 +352,6 @@ ScenarioResult run_scenario(const Scenario& scenario,
       case OpKind::kFibQuery:
         if (options.fib_agreement) violation = fib_check(prefix);
         break;
-      case OpKind::kSetWorkers: {
-        constexpr std::size_t kWidths[] = {1, 2, 4};
-        network.set_workers(kWidths[op.c % std::size(kWidths)]);
-        break;
-      }
     }
     if (!violation && round_violation) violation = std::move(round_violation);
     if (!violation) violation = suite.check_cheap(network, spec.prefixes);

@@ -2,16 +2,16 @@
 // deterministically denotes a multi-tier world) plus a schedule of
 // operations against it — announce/withdraw, prepend steps, session
 // fail/restore, full vs dirty vs prefix-scoped convergence, partial runs,
-// checkpoint/restore, FIB queries, and worker-width changes. Operands are
-// small indices into per-world candidate pools, so *every* (kind, a, b,
-// c) tuple is executable: the shrinker can drop or zero ops freely and
-// the remaining schedule still runs.
+// checkpoint/restore, and FIB queries. Operands are small indices into
+// per-world candidate pools, so *every* (kind, a, b, c) tuple is
+// executable: the shrinker can drop or zero ops freely and the remaining
+// schedule still runs.
 //
 // run_scenario() executes the schedule under the invariant suite: the
 // cheap invariants at every op boundary and (through BgpNetwork's round
 // observer) every N propagation rounds, the converged checks (snapshot
 // round-trip, FIB-vs-walker agreement) after run ops, and every scoped or
-// dirty run cross-validated against a forked serial full run via
+// dirty run cross-validated against a forked full run via
 // prefix_state_digest. Same (seed, ops, options) in, same result out —
 // the replay contract the trace format and the shrinker stand on.
 #pragma once
@@ -42,9 +42,8 @@ enum class OpKind : std::uint8_t {
   kCheckpoint,       // snapshot into slot c%4
   kRestoreSnapshot,  // restore slot c%4 (no-op while the slot is empty)
   kFibQuery,         // FIB-vs-walker differential on prefix b
-  kSetWorkers,       // worker width from {1, 2, 4} by c%3
 };
-inline constexpr std::uint8_t kOpKindCount = 13;
+inline constexpr std::uint8_t kOpKindCount = 12;
 
 const char* to_string(OpKind kind);
 
@@ -92,8 +91,8 @@ struct CheckOptions {
   // round observer (0 disables round-boundary checks; op-boundary checks
   // always run).
   std::uint64_t check_every_rounds = 1;
-  // Cross-validate scoped/dirty/full runs against a forked serial full
-  // run (the scoped-vs-full prefix_state_digest equivalence gate).
+  // Cross-validate scoped/dirty/full runs against a forked full run (the
+  // scoped-vs-full prefix_state_digest equivalence gate).
   bool scoped_equivalence = true;
   // Differential-check the compiled FIB against the legacy walker.
   bool fib_agreement = true;

@@ -75,7 +75,6 @@ ExperimentController::Setup ExperimentController::make_baseline() {
   setup.network = std::make_unique<bgp::BgpNetwork>(base_seed ^ 0x5eedULL);
   bgp::BgpNetwork& network = *setup.network;
   ecosystem_.build_network(network);
-  network.set_workers(config_.intra_workers);
 
   // Week-specific connectivity churn: a handful of members lose their
   // primary R&E session for this experiment's duration (provider or
@@ -409,7 +408,6 @@ ExperimentResult ExperimentController::run(const BaselineCheckpoint& base) {
   Setup setup;
   setup.result = make_result_header();
   setup.network = base.network.fork();
-  setup.network->set_workers(config_.intra_workers);
   setup.result.experiment_start = setup.network->clock().now();
   setup.rng = post_baseline_rng();
   RoundState state = make_round_state(setup);
@@ -605,7 +603,6 @@ std::optional<ExperimentResult> ExperimentController::try_resume() {
   if (!r.ok()) return std::nullopt;  // truncated or corrupt checkpoint
 
   setup.network = snapshot.fork();
-  setup.network->set_workers(config_.intra_workers);
   setup.rng = net::Rng(config_.seed);  // unused after the baseline phase
 
   RoundState state{std::move(flaky_round),

@@ -77,14 +77,6 @@ struct ExperimentConfig {
   // of Table 2's non-NIKS difference rows).
   double p_week_variation = 0.005;
 
-  // Round-sharding width for the experiment's own BgpNetwork (see
-  // BgpNetwork::set_workers; 1 = serial). Results are bit-identical at
-  // any value. Leave at 1 when the controller itself runs inside a
-  // thread-pool job (e.g. seed sweeps parallelized at trial level):
-  // intra-network and trial-level parallelism are alternatives, and
-  // ThreadPool::parallel_for does not nest.
-  std::size_t intra_workers = 1;
-
   // Prefix-scoped incremental re-convergence for the prepend rounds (see
   // BgpNetwork::run_dirty_to_convergence and DESIGN.md §5e). A prepend
   // change perturbs only the measurement prefix, so rounds 2..9 converge

@@ -38,7 +38,6 @@ RibSurveyResult run_rib_survey(const topo::Ecosystem& ecosystem,
   RibSurveyResult result;
   bgp::BgpNetwork network(seed);
   ecosystem.build_network(network);
-  network.set_workers(options.workers);
   const std::size_t batch_size = std::max<std::size_t>(options.batch_size, 1);
 
   // The representative prefix per member, in member order.

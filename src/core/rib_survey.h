@@ -11,9 +11,7 @@
 // prefix, per-flow message index) — see BgpNetwork::edge_delay — so one
 // prefix's timeline is unaffected by the others sharing the queue; only
 // the constant announce-time offset differs, and the decision process
-// compares route ages relatively within a prefix. Batches also fill
-// propagation rounds, which is what the round-sharded parallel engine
-// needs to spread work across threads.
+// compares route ages relatively within a prefix.
 #pragma once
 
 #include <cstdint>
@@ -57,9 +55,6 @@ struct RibSurveyOptions {
   // batches amortize convergence rounds, at the cost of proportionally
   // more transient RIB state held at once. 0 is treated as 1.
   std::size_t batch_size = 8;
-  // Round-sharding width inside the survey network (1 = serial); the
-  // survey owns its network, so intra-network workers are safe here.
-  std::size_t workers = 1;
 };
 
 // Runs the sweep over every member origin. Building the network and

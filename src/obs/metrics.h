@@ -4,7 +4,7 @@
 // The registry is the process-wide aggregation point the benches and the
 // survey binaries dump at exit. It deliberately lives *outside* the
 // simulation: metrics are observed effects (messages delivered, rounds
-// sharded, span durations), never inputs, so the registry can aggregate
+// converged, span durations), never inputs, so the registry can aggregate
 // across networks and threads without touching determinism — two runs
 // that differ only in what they recorded here are still bit-identical
 // where it counts (state digests, result digests).

@@ -60,7 +60,7 @@ RoundResult Prober::run_round(const std::vector<PrefixSeeds>& seeds,
   const std::uint64_t round_seed = rng_.next();
   const auto probe_one = [&](std::size_t i) {
     // Emitted from the pool thread that took the prefix: probing work
-    // shows up on the worker lanes alongside convergence shards.
+    // shows up on the pool's worker lanes.
     RE_SPAN_ARG("probe.prefix", "targets", seeds[i].targets.size());
     result.prefixes[i] = probe_prefix(
         seeds[i], resolver, runtime::derive_stream_seed(round_seed, i));

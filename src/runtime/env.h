@@ -41,8 +41,7 @@ std::size_t env_positive_size(const char* name, std::size_t fallback);
 // Reads env var `name` as a thread count ("auto" or a positive integer —
 // see parse_thread_count). Unset or empty -> fallback; set but malformed
 // -> diagnostic on stderr and exit(2). "auto" never oversubscribes: the
-// recorded stress_sweep_parallel rows show 8 workers on one core losing
-// to serial, so the automatic choice is capped at the hardware.
+// automatic choice is capped at the hardware thread count.
 std::size_t env_thread_count(const char* name, std::size_t fallback);
 
 // Reads env var `name` as a finite positive double. Unset or empty ->

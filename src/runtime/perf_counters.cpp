@@ -17,13 +17,6 @@ double PerfCounters::avg_probe_length() const noexcept {
   return static_cast<double>(map_probes) / static_cast<double>(map_lookups);
 }
 
-double PerfCounters::shard_balance() const noexcept {
-  if (shard_peak_messages == 0 || intra_workers == 0) return 1.0;
-  return static_cast<double>(sharded_messages) /
-         (static_cast<double>(intra_workers) *
-          static_cast<double>(shard_peak_messages));
-}
-
 PerfCounters& PerfCounters::operator+=(const PerfCounters& other) noexcept {
   messages_delivered += other.messages_delivered;
   // Table/map gauges describe a network instance, not a delta: keep the
@@ -34,12 +27,6 @@ PerfCounters& PerfCounters::operator+=(const PerfCounters& other) noexcept {
   map_probes += other.map_probes;
   wall_seconds += other.wall_seconds;
   rounds += other.rounds;
-  parallel_rounds += other.parallel_rounds;
-  sharded_messages += other.sharded_messages;
-  shard_peak_messages += other.shard_peak_messages;
-  barrier_wait_seconds += other.barrier_wait_seconds;
-  merge_seconds += other.merge_seconds;
-  if (other.intra_workers > intra_workers) intra_workers = other.intra_workers;
   prefixes_dirty += other.prefixes_dirty;
   // Touched-speaker counts are per-run distinct sets; summing across runs
   // over-counts repeats, but the aggregate is still the honest "delivery
@@ -68,16 +55,6 @@ std::string PerfCounters::summary() const {
                 static_cast<unsigned long long>(interned_paths),
                 static_cast<double>(arena_bytes) / 1024.0, avg_probe_length());
   std::string out = buffer;
-  if (parallel_rounds > 0) {
-    std::snprintf(buffer, sizeof buffer,
-                  ", %llu/%llu rounds sharded x%llu (balance %.2f,"
-                  " barrier %.2fs, merge %.2fs)",
-                  static_cast<unsigned long long>(parallel_rounds),
-                  static_cast<unsigned long long>(rounds),
-                  static_cast<unsigned long long>(intra_workers),
-                  shard_balance(), barrier_wait_seconds, merge_seconds);
-    out += buffer;
-  }
   if (messages_skipped_by_scope > 0 || prefixes_dirty > 0) {
     std::snprintf(buffer, sizeof buffer,
                   ", scoped: %llu dirty prefix(es), %llu speakers touched,"
@@ -117,11 +94,6 @@ void publish_perf_metrics(const PerfCounters& perf) {
   static auto& probes = reg.counter("perf.map_probes");
   static auto& wall = reg.counter("perf.wall_us");
   static auto& rounds = reg.counter("perf.rounds");
-  static auto& parallel_rounds = reg.counter("perf.parallel_rounds");
-  static auto& sharded = reg.counter("perf.sharded_messages");
-  static auto& shard_peak = reg.counter("perf.shard_peak_messages");
-  static auto& barrier_us = reg.counter("perf.barrier_wait_us");
-  static auto& merge_us = reg.counter("perf.merge_us");
   static auto& dirty = reg.counter("perf.prefixes_dirty");
   static auto& touched = reg.counter("perf.speakers_touched");
   static auto& skipped = reg.counter("perf.messages_skipped_by_scope");
@@ -133,7 +105,6 @@ void publish_perf_metrics(const PerfCounters& perf) {
   static auto& forks = reg.counter("perf.forks");
   static auto& interned = reg.gauge("perf.interned_paths");
   static auto& arena = reg.gauge("perf.arena_bytes");
-  static auto& workers = reg.gauge("perf.intra_workers");
   static auto& arena_shared = reg.gauge("perf.arena_shared_bytes");
   static auto& run_messages = reg.histogram("perf.run_messages");
 
@@ -146,11 +117,6 @@ void publish_perf_metrics(const PerfCounters& perf) {
   probes.add(perf.map_probes);
   wall.add(us(perf.wall_seconds));
   rounds.add(perf.rounds);
-  parallel_rounds.add(perf.parallel_rounds);
-  sharded.add(perf.sharded_messages);
-  shard_peak.add(perf.shard_peak_messages);
-  barrier_us.add(us(perf.barrier_wait_seconds));
-  merge_us.add(us(perf.merge_seconds));
   dirty.add(perf.prefixes_dirty);
   touched.add(perf.speakers_touched);
   skipped.add(perf.messages_skipped_by_scope);
@@ -162,7 +128,6 @@ void publish_perf_metrics(const PerfCounters& perf) {
   forks.add(perf.forks);
   interned.set_max(static_cast<double>(perf.interned_paths));
   arena.set_max(static_cast<double>(perf.arena_bytes));
-  workers.set_max(static_cast<double>(perf.intra_workers));
   arena_shared.set_max(static_cast<double>(perf.arena_shared_bytes));
   run_messages.record(perf.messages_delivered);
 }

@@ -22,15 +22,7 @@ struct PerfCounters {
   std::uint64_t map_probes = 0;      // total probe steps across lookups
   double wall_seconds = 0.0;
 
-  // Round-sharded propagation (see BgpNetwork::set_workers). Serial runs
-  // leave everything but `rounds` at zero.
-  std::uint64_t rounds = 0;             // simulated-time ticks processed
-  std::uint64_t parallel_rounds = 0;    // rounds that took the sharded path
-  std::uint64_t sharded_messages = 0;   // messages delivered by sharded rounds
-  std::uint64_t shard_peak_messages = 0;  // sum of per-round max shard loads
-  double barrier_wait_seconds = 0.0;    // shard idle time at round barriers
-  double merge_seconds = 0.0;           // serial canonical-merge time
-  std::uint64_t intra_workers = 1;      // round-sharding width of the run
+  std::uint64_t rounds = 0;  // simulated-time ticks processed
 
   // Prefix-scoped incremental convergence (see BgpNetwork::
   // run_dirty_to_convergence). Full-scope runs leave all three at zero
@@ -63,12 +55,6 @@ struct PerfCounters {
   // home slot; healthy tables stay below ~1.5).
   double avg_probe_length() const noexcept;
 
-  // How evenly sharded rounds split their messages: delivered messages
-  // over perfect-split capacity (workers x per-round peak shard load).
-  // 1.0 = every shard carried the same load; 1/workers = one shard
-  // carried everything. 1.0 when no round was sharded.
-  double shard_balance() const noexcept;
-
   PerfCounters& operator+=(const PerfCounters& other) noexcept;
 
   // One-line human-readable form for bench output.
@@ -84,8 +70,8 @@ std::size_t peak_rss_bytes();
 // keeps the flat struct (and every bench's summary() line) as the
 // source of truth while the registry aggregates across runs. Delta
 // fields add into counters; instance gauges (interned_paths,
-// arena_bytes, intra_workers, arena_shared_bytes) keep the maximum,
-// matching operator+= exactly.
+// arena_bytes, arena_shared_bytes) keep the maximum, matching operator+=
+// exactly.
 void publish_perf_metrics(const PerfCounters& perf);
 
 }  // namespace re::runtime

@@ -22,7 +22,6 @@ std::string to_string(ReSide s) {
 }
 
 AsRecord& AsDirectory::add(AsRecord record) {
-  by_class_.clear();  // invalidate the lazily-built class index
   const auto it = by_asn_.find(record.asn);
   if (it != by_asn_.end()) {
     records_[it->second] = std::move(record);
@@ -36,7 +35,6 @@ AsRecord& AsDirectory::add(AsRecord record) {
 bool AsDirectory::erase(net::Asn asn) {
   const auto it = by_asn_.find(asn);
   if (it == by_asn_.end()) return false;
-  by_class_.clear();  // invalidate the lazily-built class index
   const std::size_t index = it->second;
   by_asn_.erase(it);
   if (index + 1 != records_.size()) {
@@ -55,18 +53,6 @@ const AsRecord* AsDirectory::find(net::Asn asn) const {
 AsRecord* AsDirectory::find(net::Asn asn) {
   const auto it = by_asn_.find(asn);
   return it == by_asn_.end() ? nullptr : &records_[it->second];
-}
-
-const std::vector<net::Asn>& AsDirectory::of_class(AsClass c) const {
-  if (by_class_.empty()) {
-    for (const AsRecord& r : records_) {
-      by_class_[static_cast<int>(r.cls)].push_back(r.asn);
-    }
-    for (auto& [cls, asns] : by_class_) std::sort(asns.begin(), asns.end());
-  }
-  static const std::vector<net::Asn> kEmpty;
-  const auto it = by_class_.find(static_cast<int>(c));
-  return it == by_class_.end() ? kEmpty : it->second;
 }
 
 std::vector<net::Asn> AsDirectory::all() const {

@@ -113,13 +113,11 @@ class AsDirectory {
   bool contains(net::Asn asn) const { return by_asn_.count(asn) != 0; }
   std::size_t size() const noexcept { return records_.size(); }
 
-  const std::vector<net::Asn>& of_class(AsClass c) const;
   std::vector<net::Asn> all() const;
 
  private:
   std::vector<AsRecord> records_;
   std::unordered_map<net::Asn, std::size_t> by_asn_;
-  mutable std::unordered_map<int, std::vector<net::Asn>> by_class_;
 };
 
 }  // namespace re::topo

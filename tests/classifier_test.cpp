@@ -1,6 +1,8 @@
 // Tests for the prefix-level inference classifier.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/classifier.h"
 
 namespace re::core {
@@ -84,11 +86,16 @@ TEST(ClassifyPrefix, EmptyRoundsIsExcludedLoss) {
   EXPECT_FALSE(result.first_re_round.has_value());
 }
 
+// PrintTo prints the label: ctest names a value-parameterized test after
+// the printed parameter, and gtest's default printout of this struct is its
+// raw bytes (heap pointers that move every run).
 struct ClassifyCase {
+  const char* label;
   std::vector<std::string> rounds;
   Inference expected;
   std::optional<int> first_re;
 };
+void PrintTo(const ClassifyCase& c, std::ostream* os) { *os << c.label; }
 
 class ClassifyPrefix : public ::testing::TestWithParam<ClassifyCase> {};
 
@@ -104,45 +111,56 @@ INSTANTIATE_TEST_SUITE_P(
     Sequences, ClassifyPrefix,
     ::testing::Values(
         // The nine-round shapes of §4.
-        ClassifyCase{{"rrr", "rrr", "rrr", "rrr", "rrr", "rrr", "rrr", "rrr",
+        ClassifyCase{"always_re",
+                     {"rrr", "rrr", "rrr", "rrr", "rrr", "rrr", "rrr", "rrr",
                       "rrr"},
                      Inference::kAlwaysRe, 0},
-        ClassifyCase{{"ccc", "ccc", "ccc", "ccc", "ccc", "ccc", "ccc", "ccc",
+        ClassifyCase{"always_commodity",
+                     {"ccc", "ccc", "ccc", "ccc", "ccc", "ccc", "ccc", "ccc",
                       "ccc"},
                      Inference::kAlwaysCommodity, std::nullopt},
         // Equal-localpref signature: commodity, then R&E, no further flips.
-        ClassifyCase{{"ccc", "ccc", "ccc", "rrr", "rrr", "rrr", "rrr", "rrr",
+        ClassifyCase{"switch_at_round_3",
+                     {"ccc", "ccc", "ccc", "rrr", "rrr", "rrr", "rrr", "rrr",
                       "rrr"},
                      Inference::kSwitchToRe, 3},
-        ClassifyCase{{"ccc", "ccc", "ccc", "ccc", "ccc", "ccc", "ccc", "ccc",
+        ClassifyCase{"switch_at_last_round",
+                     {"ccc", "ccc", "ccc", "ccc", "ccc", "ccc", "ccc", "ccc",
                       "rrr"},
                      Inference::kSwitchToRe, 8},
         // Outage: R&E reverts to commodity and stays.
-        ClassifyCase{{"rrr", "rrr", "rrr", "rrr", "rrr", "rrr", "ccc", "ccc",
+        ClassifyCase{"revert_to_commodity",
+                     {"rrr", "rrr", "rrr", "rrr", "rrr", "rrr", "ccc", "ccc",
                       "ccc"},
                      Inference::kSwitchToCommodity, 0},
         // Multiple transitions.
-        ClassifyCase{{"rrr", "ccc", "rrr", "rrr", "rrr", "rrr", "rrr", "rrr",
+        ClassifyCase{"one_dip",
+                     {"rrr", "ccc", "rrr", "rrr", "rrr", "rrr", "rrr", "rrr",
                       "rrr"},
                      Inference::kOscillating, 0},
-        ClassifyCase{{"ccc", "rrr", "ccc", "rrr", "ccc", "rrr", "ccc", "rrr",
+        ClassifyCase{"alternating",
+                     {"ccc", "rrr", "ccc", "rrr", "ccc", "rrr", "ccc", "rrr",
                       "ccc"},
                      Inference::kOscillating, 1},
         // Any split round makes the prefix Mixed, regardless of the rest.
-        ClassifyCase{{"rrr", "rrc", "rrr", "rrr", "rrr", "rrr", "rrr", "rrr",
+        ClassifyCase{"split_round",
+                     {"rrr", "rrc", "rrr", "rrr", "rrr", "rrr", "rrr", "rrr",
                       "rrr"},
                      Inference::kMixed, 0},
         // A mixed round is not an R&E round: first_re_round is the first
         // all-R&E round.
-        ClassifyCase{{"ccc", "ccc", "crr", "rrr", "rrr", "rrr", "rrr", "rrr",
+        ClassifyCase{"split_before_first_re",
+                     {"ccc", "ccc", "crr", "rrr", "rrr", "rrr", "rrr", "rrr",
                       "rrr"},
                      Inference::kMixed, 3},
         // Any all-loss round excludes the prefix.
-        ClassifyCase{{"rrr", "...", "rrr", "rrr", "rrr", "rrr", "rrr", "rrr",
+        ClassifyCase{"all_loss_round",
+                     {"rrr", "...", "rrr", "rrr", "rrr", "rrr", "rrr", "rrr",
                       "rrr"},
                      Inference::kExcludedLoss, 0},
         // Partial responses still classify.
-        ClassifyCase{{"r..", "r..", ".r.", "rr.", "rrr", "r..", "rrr", "rrr",
+        ClassifyCase{"partial_responses",
+                     {"r..", "r..", ".r.", "rr.", "rrr", "r..", "rrr", "rrr",
                       "r.."},
                      Inference::kAlwaysRe, 0}));
 

@@ -8,6 +8,7 @@
 #include "core/experiment.h"
 #include "core/validator.h"
 #include "probing/seeds.h"
+#include "runtime/thread_pool.h"
 #include "topology/ecosystem.h"
 
 namespace re::core {
@@ -241,6 +242,41 @@ TEST_F(ExperimentFixture, MixedPrefixesLeanTowardsRe) {
     }
   }
   EXPECT_GT(re_systems, comm_systems);
+}
+
+// An absolute check, not a relative one: re_survey's setup at --scale 0.05
+// (default seed, the default seed database, 11 probe targets per prefix,
+// per-experiment seeds ^501 / ^502, a 2-thread probing pool) must reproduce
+// the digests `re_survey --scale 0.05` prints. Every other gate compares
+// two runs of the current code; this one catches a change that moves both.
+// The values hold for the libstdc++ toolchain CI builds with: two
+// tie-prone std::sort calls mean another standard library may order equal
+// keys differently.
+TEST(SurveyDigestPin, ScaleFivePercentMatchesPinnedDigests) {
+  constexpr std::uint64_t kSeed = 20250529;
+  topo::EcosystemParams params = topo::EcosystemParams{}.scaled(0.05);
+  params.seed = kSeed;
+  const topo::Ecosystem ecosystem = topo::Ecosystem::generate(params);
+  const probing::SeedDatabase db =
+      probing::SeedDatabase::generate(ecosystem, probing::SeedGenParams{});
+  const probing::SelectionResult selection =
+      probing::select_probe_seeds(ecosystem, db, 11);
+  runtime::ThreadPool pool(2);
+
+  ExperimentConfig surf_config;
+  surf_config.experiment = ReExperiment::kSurf;
+  surf_config.seed = kSeed ^ 501;
+  const ExperimentResult surf =
+      ExperimentController(ecosystem, selection.seeds, surf_config, &pool).run();
+
+  ExperimentConfig i2_config;
+  i2_config.experiment = ReExperiment::kInternet2;
+  i2_config.seed = kSeed ^ 502;
+  const ExperimentResult i2 =
+      ExperimentController(ecosystem, selection.seeds, i2_config, &pool).run();
+
+  EXPECT_EQ(result_digest(surf), 0x1f31091f92e96064ull);
+  EXPECT_EQ(result_digest(i2), 0xcce29d9669329108ull);
 }
 
 }  // namespace

@@ -253,7 +253,8 @@ TEST(CatchmentFib, HopBudgetMatchesLegacyOnLongChains) {
   // A 70-AS transit chain: ASes further than the walker's 64-hop budget
   // from the origin must be unreachable, with the walker's exact
   // truncated-flag accumulation. This exercises the depth >= kMaxHops
-  // replay path of the compiled table.
+  // replay path of the compiled table, through both resolve() and
+  // attribution() (which replays via walk_attribution).
   bgp::BgpNetwork network(1);
   const int kChain = 70;
   for (int i = 1; i < kChain; ++i) {
@@ -270,6 +271,11 @@ TEST(CatchmentFib, HopBudgetMatchesLegacyOnLongChains) {
     const Asn as{static_cast<std::uint32_t>(100 + i)};
     const ReturnPath want = legacy.resolve(as);
     expect_equal(want, fib.resolve(as), as);
+    const CatchmentFib::Attribution attr = fib.attribution(as);
+    EXPECT_EQ(attr.reachable, want.reachable) << as.to_string();
+    EXPECT_EQ(attr.terminal, want.terminal) << as.to_string();
+    EXPECT_EQ(attr.used_default_route, want.used_default_route)
+        << as.to_string();
     unreachable += want.reachable ? 0 : 1;
   }
   EXPECT_GT(unreachable, 0);  // the budget actually bit

@@ -1,6 +1,8 @@
 // Tests for the JSON writer and parser.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "io/json.h"
 
 namespace re::io {
@@ -91,9 +93,15 @@ TEST(JsonParser, EmptyContainers) {
   EXPECT_TRUE(parse_json("  { }  ")->is_object());
 }
 
+// Each case carries a label, and PrintTo prints it: ctest names a
+// value-parameterized test after the printed parameter, and gtest's default
+// printout of this struct is its raw bytes (a pointer that moves every run).
 struct BadJsonCase {
+  const char* label;
   const char* text;
 };
+void PrintTo(const BadJsonCase& c, std::ostream* os) { *os << c.label; }
+
 class JsonParserRejects : public ::testing::TestWithParam<BadJsonCase> {};
 
 TEST_P(JsonParserRejects, Rejects) {
@@ -102,13 +110,21 @@ TEST_P(JsonParserRejects, Rejects) {
 
 INSTANTIATE_TEST_SUITE_P(
     Malformed, JsonParserRejects,
-    ::testing::Values(BadJsonCase{""}, BadJsonCase{"{"}, BadJsonCase{"["},
-                      BadJsonCase{"{\"a\"}"}, BadJsonCase{"{\"a\":}"},
-                      BadJsonCase{"[1,]"}, BadJsonCase{"{\"a\":1,}"},
-                      BadJsonCase{"\"unterminated"}, BadJsonCase{"tru"},
-                      BadJsonCase{"nul"}, BadJsonCase{"1 2"},
-                      BadJsonCase{"{} extra"}, BadJsonCase{"\"\\x\""},
-                      BadJsonCase{"\"\\u12\""}, BadJsonCase{"--1"}));
+    ::testing::Values(BadJsonCase{"empty", ""},
+                      BadJsonCase{"open_object", "{"},
+                      BadJsonCase{"open_array", "["},
+                      BadJsonCase{"key_without_value", "{\"a\"}"},
+                      BadJsonCase{"missing_value", "{\"a\":}"},
+                      BadJsonCase{"array_trailing_comma", "[1,]"},
+                      BadJsonCase{"object_trailing_comma", "{\"a\":1,}"},
+                      BadJsonCase{"unterminated_string", "\"unterminated"},
+                      BadJsonCase{"truncated_true", "tru"},
+                      BadJsonCase{"truncated_null", "nul"},
+                      BadJsonCase{"two_values", "1 2"},
+                      BadJsonCase{"trailing_garbage", "{} extra"},
+                      BadJsonCase{"bad_escape", "\"\\x\""},
+                      BadJsonCase{"short_unicode_escape", "\"\\u12\""},
+                      BadJsonCase{"double_minus", "--1"}));
 
 TEST(JsonRoundTrip, WriterOutputParses) {
   JsonWriter w;

@@ -2,6 +2,7 @@
 // trie, RNG determinism, and the simulation clock.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <unordered_set>
 
@@ -42,9 +43,15 @@ TEST(IPv4Address, ParsesBoundaries) {
   EXPECT_EQ(IPv4Address::parse("255.255.255.255")->value(), ~0u);
 }
 
+// Each case carries a label, and PrintTo prints it: ctest names a
+// value-parameterized test after the printed parameter, and gtest's default
+// printout of this struct is its raw bytes (a pointer that moves every run).
 struct BadAddressCase {
+  const char* label;
   const char* text;
 };
+void PrintTo(const BadAddressCase& c, std::ostream* os) { *os << c.label; }
+
 class IPv4ParseRejects : public ::testing::TestWithParam<BadAddressCase> {};
 
 TEST_P(IPv4ParseRejects, Rejects) {
@@ -54,12 +61,18 @@ TEST_P(IPv4ParseRejects, Rejects) {
 
 INSTANTIATE_TEST_SUITE_P(
     Malformed, IPv4ParseRejects,
-    ::testing::Values(BadAddressCase{""}, BadAddressCase{"1.2.3"},
-                      BadAddressCase{"1.2.3.4.5"}, BadAddressCase{"256.1.1.1"},
-                      BadAddressCase{"1.2.3.256"}, BadAddressCase{"a.b.c.d"},
-                      BadAddressCase{"1..2.3"}, BadAddressCase{"1.2.3.4 "},
-                      BadAddressCase{" 1.2.3.4"}, BadAddressCase{"01.2.3.4"},
-                      BadAddressCase{"1.2.3.-4"}, BadAddressCase{"1.2.3.+4"}));
+    ::testing::Values(BadAddressCase{"empty", ""},
+                      BadAddressCase{"three_octets", "1.2.3"},
+                      BadAddressCase{"five_octets", "1.2.3.4.5"},
+                      BadAddressCase{"first_octet_256", "256.1.1.1"},
+                      BadAddressCase{"last_octet_256", "1.2.3.256"},
+                      BadAddressCase{"letters", "a.b.c.d"},
+                      BadAddressCase{"empty_octet", "1..2.3"},
+                      BadAddressCase{"trailing_space", "1.2.3.4 "},
+                      BadAddressCase{"leading_space", " 1.2.3.4"},
+                      BadAddressCase{"leading_zero", "01.2.3.4"},
+                      BadAddressCase{"minus_sign", "1.2.3.-4"},
+                      BadAddressCase{"plus_sign", "1.2.3.+4"}));
 
 TEST(IPv4Address, OrderingIsNumeric) {
   EXPECT_LT(*IPv4Address::parse("9.255.255.255"),

@@ -5,7 +5,7 @@
 // catch up to the identical per-prefix state later. These tests pin that
 // contract three ways:
 //   1. same-schedule runs (only the measurement prefix ever dirty) are
-//      bit-identical full vs dirty vs scoped, serial and sharded;
+//      bit-identical full vs dirty vs scoped;
 //   2. fork -> scoped prepend sweep equals a cold full-run sweep;
 //   3. deferred catch-up: scoping past live background churn, then
 //      draining, lands every prefix on the eager run's content digest.
@@ -60,11 +60,9 @@ Cast pick_cast(const topo::Ecosystem& eco, std::size_t background) {
 // Builds a network, announces the cast, and drains to a converged
 // baseline at a fixed clock position.
 std::unique_ptr<BgpNetwork> converged_baseline(const topo::Ecosystem& eco,
-                                               const Cast& cast,
-                                               std::size_t workers) {
+                                               const Cast& cast) {
   auto network = std::make_unique<BgpNetwork>(424244);
   eco.build_network(*network);
-  network->set_workers(workers);
   network->announce(cast.meas->origin, cast.meas->prefix);
   for (const topo::PrefixRecord* rec : cast.background) {
     network->announce(rec->origin, rec->prefix);
@@ -111,7 +109,7 @@ TEST(NetworkIncremental, NineConfigSweepBitIdenticalAcrossRunModes) {
   std::uint64_t reference = 0;
   for (const RunMode mode :
        {RunMode::kFull, RunMode::kDirty, RunMode::kScoped}) {
-    auto network = converged_baseline(eco, cast, 1);
+    auto network = converged_baseline(eco, cast);
     const std::uint64_t digest =
         sweep_digest(*network, cast.meas->prefix, cast.meas->origin, mode);
     if (mode == RunMode::kFull) {
@@ -124,31 +122,13 @@ TEST(NetworkIncremental, NineConfigSweepBitIdenticalAcrossRunModes) {
   ASSERT_NE(reference, 0u);
 }
 
-TEST(NetworkIncremental, ScopedSweepBitIdenticalWhenSharded) {
-  const topo::Ecosystem eco = make_world();
-  const Cast cast = pick_cast(eco, 4);
-  ASSERT_NE(cast.meas, nullptr);
-
-  auto serial_full = converged_baseline(eco, cast, 1);
-  const std::uint64_t reference = sweep_digest(
-      *serial_full, cast.meas->prefix, cast.meas->origin, RunMode::kFull);
-
-  for (const RunMode mode : {RunMode::kDirty, RunMode::kScoped}) {
-    auto sharded = converged_baseline(eco, cast, 2);
-    EXPECT_EQ(sweep_digest(*sharded, cast.meas->prefix, cast.meas->origin,
-                           mode),
-              reference)
-        << "mode " << static_cast<int>(mode);
-  }
-}
-
 TEST(NetworkIncremental, ForkThenScopedSweepMatchesColdFullSweep) {
   const topo::Ecosystem eco = make_world();
   const Cast cast = pick_cast(eco, 4);
   ASSERT_NE(cast.meas, nullptr);
 
   // Cold path: fresh network, full drains every round.
-  auto cold = converged_baseline(eco, cast, 1);
+  auto cold = converged_baseline(eco, cast);
   const NetworkSnapshot snap = cold->checkpoint();
   const std::uint64_t cold_digest =
       sweep_digest(*cold, cast.meas->prefix, cast.meas->origin, RunMode::kFull);
@@ -173,7 +153,7 @@ TEST(NetworkIncremental, DeferredBackgroundCatchesUpToEagerContentDigests) {
   // final drain. Global seq/intern order then legitimately diverges, so
   // the gate is the per-prefix *content* digest.
   auto run_pass = [&](bool scoped) {
-    auto network = converged_baseline(eco, cast, 1);
+    auto network = converged_baseline(eco, cast);
     const net::SimTime t0 = network->clock().now();
     for (int round = 0; round < 9; ++round) {
       network->clock().advance_to(t0 + (round + 1) * net::kHour);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "bgp/network.h"
+#include "runtime/perf_counters.h"
+#include "topology/ecosystem.h"
 
 namespace re::bgp {
 namespace {
@@ -284,6 +286,33 @@ TEST(BgpNetwork, AddSpeakerIdempotent) {
   Speaker& b = network.add_speaker(Asn{5});
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(network.speaker_count(), 1u);
+}
+
+TEST(BgpNetwork, ProbeLengthsStayHealthy) {
+  // Pre-sized topology maps must keep the open-addressing tables healthy:
+  // a probe-length regression here means a hash or reservation change
+  // broke clustering.
+  topo::EcosystemParams params = topo::EcosystemParams{}.scaled(0.06);
+  params.seed = 20250806;
+  const topo::Ecosystem eco = topo::Ecosystem::generate(params);
+  BgpNetwork network(424243);
+  eco.build_network(network);
+  runtime::PerfCounters perf;
+  std::size_t swept = 0;
+  for (const topo::PrefixRecord& rec : eco.prefixes()) {
+    if (swept == 4) break;
+    if (rec.covered) continue;
+    ++swept;
+    network.announce(rec.origin, rec.prefix);
+    perf += network.run_to_convergence().perf;
+    network.set_origin_prepend(rec.origin, rec.prefix, 2);
+    perf += network.run_to_convergence().perf;
+    network.withdraw(rec.origin, rec.prefix);
+    perf += network.run_to_convergence().perf;
+    network.clear_prefix(rec.prefix);
+  }
+  EXPECT_GT(perf.avg_probe_length(), 0.0);
+  EXPECT_LT(perf.avg_probe_length(), 2.0);
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // quantiles against a sorted-vector oracle, per-thread trace rings
 // (wraparound + drop accounting), multithreaded span emission into a
 // well-formed Chrome trace, and the determinism contract — bit-identical
-// digests with tracing on, serial or sharded.
+// digests with tracing on, serially or as concurrent pool trials.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -251,12 +251,12 @@ TEST(ObsTraceDeathTest, UnwritableTracePathAbortsUpFront) {
 
 // The determinism contract: tracing only reads wall clocks and writes
 // telemetry buffers, so state digests are bit-identical with tracing on
-// or off, serial or round-sharded. This is the gate that lets every
+// or off, whether a network converges alone or as one of several trials
+// running on the pool at once. This is the gate that lets every
 // digest-checked pipeline run with --trace without re-validating.
-std::uint64_t sweep_digest(const topo::Ecosystem& eco, std::size_t workers) {
+std::uint64_t sweep_digest(const topo::Ecosystem& eco) {
   bgp::BgpNetwork network(77001);
   eco.build_network(network);
-  network.set_workers(workers);
   std::size_t swept = 0;
   for (const topo::PrefixRecord& rec : eco.prefixes()) {
     if (swept == 6) break;
@@ -270,23 +270,31 @@ std::uint64_t sweep_digest(const topo::Ecosystem& eco, std::size_t workers) {
   return network.state_digest();
 }
 
-TEST(ObsTrace, SerialAndShardedDigestsAreBitIdenticalWithTracingOn) {
+TEST(ObsTrace, SerialAndPooledTrialDigestsAreBitIdenticalWithTracingOn) {
   topo::EcosystemParams params;
   params = params.scaled(0.05);
   params.seed = 20250808;
   const topo::Ecosystem eco = topo::Ecosystem::generate(params);
 
-  const std::uint64_t untraced = sweep_digest(eco, 1);
+  const std::uint64_t untraced = sweep_digest(eco);
 
   const std::string path = temp_path("obs_digest_trace.json");
   TraceSession session(path);
   ASSERT_TRUE(session.enabled());
-  const std::uint64_t traced_serial = sweep_digest(eco, 1);
-  const std::uint64_t traced_sharded = sweep_digest(eco, 3);
+  const std::uint64_t traced_serial = sweep_digest(eco);
+  // Trial-level parallelism: independently built networks converging
+  // concurrently, each emitting spans from its own pool lane.
+  constexpr std::size_t kTrials = 3;
+  std::vector<std::uint64_t> traced_trials(kTrials, 0);
+  runtime::ThreadPool pool(kTrials);
+  pool.parallel_for(kTrials,
+                    [&](std::size_t i) { traced_trials[i] = sweep_digest(eco); });
   const FlushStats stats = session.finish();
 
   EXPECT_EQ(traced_serial, untraced);
-  EXPECT_EQ(traced_sharded, untraced);
+  for (std::size_t i = 0; i < kTrials; ++i) {
+    EXPECT_EQ(traced_trials[i], untraced) << "trial " << i;
+  }
   // And the trace actually recorded the runs it was watching.
   EXPECT_GT(stats.events, 0u);
 }

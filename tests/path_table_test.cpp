@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <span>
-#include <thread>
 #include <vector>
 
 #include "bgp/network.h"
@@ -147,131 +146,6 @@ TEST(PathTable, RouteCacheFilledBySetPath) {
   r.set_path(table, PathId{});
   EXPECT_EQ(r.path_length, 0u);
   EXPECT_EQ(r.path_first, Asn{});
-}
-
-TEST(PathStager, DirectModeForwardsToTable) {
-  PathTable table;
-  PathStager stager(&table);
-  const PathId base = table.intern(AsPath{Asn{2}, Asn{1}});
-  const PathId direct = stager.prepended(base, Asn{3}, 2);
-  EXPECT_FALSE(PathStager::is_pending(direct));
-  EXPECT_EQ(direct, table.intern(AsPath{Asn{3}, Asn{3}, Asn{2}, Asn{1}}));
-  EXPECT_EQ(stager.prepended(base, Asn{3}, 0), base);
-}
-
-TEST(PathStager, StagingKeepsTableUntouchedUntilResolve) {
-  PathTable table;
-  PathStager stager(&table);
-  const PathId base = table.intern(AsPath{Asn{2}, Asn{1}});
-  const PathId known = table.intern(AsPath{Asn{3}, Asn{2}, Asn{1}});
-  const std::size_t before = table.size();
-
-  stager.begin_staging();
-  // Hit: already interned -> real id, no pending entry.
-  const PathId hit = stager.prepended(base, Asn{3}, 1);
-  EXPECT_FALSE(PathStager::is_pending(hit));
-  EXPECT_EQ(hit, known);
-
-  // Miss: staged locally; the shared table must not grow.
-  const PathId miss = stager.prepended(base, Asn{9}, 1);
-  EXPECT_TRUE(PathStager::is_pending(miss));
-  EXPECT_EQ(table.size(), before);
-
-  // Content-equal staged paths share one pending id (duplicate
-  // suppression compares ids, so content-equal must mean id-equal).
-  EXPECT_EQ(stager.prepended(base, Asn{9}, 1), miss);
-  // Pending-aware span sees the staged contents.
-  EXPECT_EQ(stager.span(miss).size(), 3u);
-  EXPECT_EQ(stager.span(miss).front(), Asn{9});
-
-  const PathId resolved = stager.resolve(miss);
-  EXPECT_FALSE(PathStager::is_pending(resolved));
-  EXPECT_EQ(table.size(), before + 1);
-  EXPECT_EQ(resolved, table.intern(AsPath{Asn{9}, Asn{2}, Asn{1}}));
-  // Resolution is memoized and stable.
-  EXPECT_EQ(stager.resolve(miss), resolved);
-  // Real ids pass through resolve untouched.
-  EXPECT_EQ(stager.resolve(base), base);
-  stager.end_staging();
-}
-
-TEST(PathStager, CanonicalResolutionOrderMatchesSerialInterning) {
-  // Two stagers (two round-workers) stage misses in scrambled order; the
-  // coordinator resolves them in canonical order. The table must end up
-  // exactly as if one serial pass had interned in canonical order: same
-  // dense ids, same count.
-  PathTable serial_table;
-  PathTable sharded;
-  const std::vector<AsPath> canonical = {
-      AsPath{Asn{10}, Asn{1}}, AsPath{Asn{11}, Asn{1}},
-      AsPath{Asn{12}, Asn{1}}, AsPath{Asn{13}, Asn{1}}};
-  std::vector<PathId> serial_ids;
-  for (const AsPath& p : canonical) serial_ids.push_back(serial_table.intern(p));
-
-  PathStager a(&sharded), b(&sharded);
-  a.begin_staging();
-  b.begin_staging();
-  // Worker A stages 3rd then 1st; worker B stages 4th then 2nd.
-  const PathId a3 = a.prepended(sharded.intern(AsPath{Asn{1}}), Asn{12}, 1);
-  const PathId a1 = a.prepended(sharded.intern(AsPath{Asn{1}}), Asn{10}, 1);
-  const PathId b4 = b.prepended(sharded.intern(AsPath{Asn{1}}), Asn{13}, 1);
-  const PathId b2 = b.prepended(sharded.intern(AsPath{Asn{1}}), Asn{11}, 1);
-  // Canonical (serial) order: 1, 2, 3, 4.
-  const PathId r1 = a.resolve(a1);
-  const PathId r2 = b.resolve(b2);
-  const PathId r3 = a.resolve(a3);
-  const PathId r4 = b.resolve(b4);
-  a.end_staging();
-  b.end_staging();
-
-  // Both tables interned {1} first, then the four prepended paths, so the
-  // dense ids line up one-to-one.
-  EXPECT_EQ(sharded.size(), serial_table.size() + 1);  // + the {1} base
-  EXPECT_EQ(sharded.to_string(r1), serial_table.to_string(serial_ids[0]));
-  EXPECT_EQ(sharded.to_string(r2), serial_table.to_string(serial_ids[1]));
-  EXPECT_EQ(sharded.to_string(r3), serial_table.to_string(serial_ids[2]));
-  EXPECT_EQ(sharded.to_string(r4), serial_table.to_string(serial_ids[3]));
-  EXPECT_LT(r1, r2);
-  EXPECT_LT(r2, r3);
-  EXPECT_LT(r3, r4);
-}
-
-TEST(PathStager, ConcurrentStagingWorkersLeaveTableReadOnly) {
-  // The round-worker contract under TSan: many stagers probe and stage
-  // against one shared table concurrently; nobody interns until the
-  // barrier. Misses stay worker-local, hits agree across workers.
-  PathTable table;
-  const PathId base = table.intern(AsPath{Asn{2}, Asn{1}});
-  const PathId known = table.intern(AsPath{Asn{7}, Asn{2}, Asn{1}});
-
-  constexpr int kWorkers = 8;
-  std::vector<PathStager> stagers;
-  for (int w = 0; w < kWorkers; ++w) stagers.emplace_back(&table);
-  std::vector<PathId> hits(kWorkers), misses(kWorkers);
-  {
-    std::vector<std::thread> threads;
-    for (int w = 0; w < kWorkers; ++w) {
-      threads.emplace_back([&, w] {
-        stagers[w].begin_staging();
-        for (int i = 0; i < 200; ++i) {
-          hits[w] = stagers[w].prepended(base, Asn{7}, 1);
-          misses[w] =
-              stagers[w].prepended(base, Asn{100 + static_cast<std::uint32_t>(w)}, 1);
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  EXPECT_EQ(table.size(), 3u);  // untouched: empty + the two pre-interned
-  for (int w = 0; w < kWorkers; ++w) {
-    EXPECT_EQ(hits[w], known);
-    EXPECT_TRUE(PathStager::is_pending(misses[w]));
-    const PathId resolved = stagers[w].resolve(misses[w]);
-    EXPECT_EQ(table.span(resolved).front(),
-              (Asn{100 + static_cast<std::uint32_t>(w)}));
-    stagers[w].end_staging();
-  }
-  EXPECT_EQ(table.size(), 3u + kWorkers);
 }
 
 }  // namespace

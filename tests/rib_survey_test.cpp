@@ -170,11 +170,10 @@ TEST_F(RibSurveyFixture, SurveyIsDeterministic) {
 }
 
 TEST_F(RibSurveyFixture, BatchedSweepMatchesOneAtATime) {
-  // Batching several member origins per convergence cycle (and sharding
-  // rounds across workers) is a pure throughput optimization: every
-  // origin announces a distinct prefix and edge delays are prefix-local
-  // functions of the seed, so per-origin views must be bit-identical to
-  // the one-at-a-time sweep.
+  // Batching several member origins per convergence cycle is a pure
+  // throughput optimization: every origin announces a distinct prefix and
+  // edge delays are prefix-local functions of the seed, so per-origin
+  // views must be bit-identical to the one-at-a-time sweep.
   auto flatten = [](const RibSurveyResult& survey) {
     std::vector<std::string> out;
     for (const OriginRibView& v : survey.origins) {
@@ -200,11 +199,6 @@ TEST_F(RibSurveyFixture, BatchedSweepMatchesOneAtATime) {
   RibSurveyOptions batched;
   batched.batch_size = 12;
   EXPECT_EQ(one_at_a_time, flatten(run_rib_survey(world().ecosystem, 4242, batched)));
-
-  RibSurveyOptions sharded;
-  sharded.batch_size = 12;
-  sharded.workers = 4;
-  EXPECT_EQ(one_at_a_time, flatten(run_rib_survey(world().ecosystem, 4242, sharded)));
 }
 
 TEST(PrependClassStrings, HumanReadable) {

@@ -253,8 +253,8 @@ TEST(EnvParseDeathTest, BlankStringKnobAbortsLoudly) {
 // added. Two classes, chosen deliberately:
 //   - deltas (forks, probe_resolve_seconds, speakers_touched, ...) sum:
 //     folding N runs yields the total work the sweep paid for;
-//   - instance gauges (intra_workers, arena_shared_bytes, interned_paths,
-//     arena_bytes) take the max: they describe the network, not the run,
+//   - instance gauges (arena_shared_bytes, interned_paths, arena_bytes)
+//     take the max: they describe the network, not the run,
 //     so folding runs over the same network must not inflate them.
 // A regression here silently corrupts every bench summary line.
 TEST(PerfCountersTest, AggregationPinsSumVersusMaxSemantics) {
@@ -262,7 +262,6 @@ TEST(PerfCountersTest, AggregationPinsSumVersusMaxSemantics) {
   a.messages_delivered = 100;
   a.interned_paths = 50;
   a.arena_bytes = 4096;
-  a.intra_workers = 4;
   a.forks = 1;
   a.arena_shared_bytes = 2048;
   a.probe_resolve_seconds = 1.5;
@@ -273,7 +272,6 @@ TEST(PerfCountersTest, AggregationPinsSumVersusMaxSemantics) {
   b.messages_delivered = 10;
   b.interned_paths = 40;   // smaller snapshot: must NOT win
   b.arena_bytes = 8192;    // larger snapshot: must win
-  b.intra_workers = 2;     // narrower run: must NOT win
   b.forks = 1;
   b.arena_shared_bytes = 1024;  // smaller: must NOT win
   b.probe_resolve_seconds = 0.25;
@@ -290,14 +288,12 @@ TEST(PerfCountersTest, AggregationPinsSumVersusMaxSemantics) {
   // Max'd instance gauges.
   EXPECT_EQ(a.interned_paths, 50u);
   EXPECT_EQ(a.arena_bytes, 8192u);
-  EXPECT_EQ(a.intra_workers, 4u);
   EXPECT_EQ(a.arena_shared_bytes, 2048u);
 }
 
 TEST(PerfCountersTest, PublishFoldsIntoRegistryLikeOperatorPlusEquals) {
   PerfCounters perf;
   perf.messages_delivered = 7;
-  perf.intra_workers = 3;
   perf.arena_shared_bytes = 512;
   publish_perf_metrics(perf);
   const std::uint64_t after_first =
@@ -305,13 +301,11 @@ TEST(PerfCountersTest, PublishFoldsIntoRegistryLikeOperatorPlusEquals) {
 
   PerfCounters second;
   second.messages_delivered = 5;
-  second.intra_workers = 2;  // narrower: the gauge must keep 3
-  second.arena_shared_bytes = 256;
+  second.arena_shared_bytes = 256;  // smaller: the gauge must keep 512
   publish_perf_metrics(second);
 
   EXPECT_EQ(obs::registry().counter("perf.messages_delivered").value(),
             after_first + 5);
-  EXPECT_GE(obs::registry().gauge("perf.intra_workers").value(), 3.0);
   EXPECT_GE(obs::registry().gauge("perf.arena_shared_bytes").value(), 512.0);
 }
 
