@@ -23,7 +23,9 @@
 // (--trace-out, default re_check_violation.trace), optionally minimized
 // (--shrink) into a small reproducer printed as a ready-to-paste
 // regression test, and the process exits 1. `--replay FILE` re-runs a
-// saved trace instead of fuzzing (combine with --shrink to minimize it).
+// saved trace instead of fuzzing (combine with --shrink to minimize it);
+// a replay writes no trace files (neither FILE nor FILE.min) unless
+// --trace-out is given explicitly.
 //
 // RE_CHECK_SECONDS caps the fuzzing budget: the seed loop stops cleanly
 // once the budget is spent (exit 0 — budget expiry is not a failure).
@@ -52,7 +54,9 @@ struct Options {
   std::size_t ops = 40;
   std::uint64_t check_every = 1;
   bool shrink = false;
-  std::string trace_out = "re_check_violation.trace";
+  // Where a violating scenario is saved; empty writes none. Fuzzing
+  // defaults to re_check_violation.trace, a replay to nothing.
+  std::string trace_out;
   std::string replay_path;
   // Chrome-trace telemetry (RE_TRACE is strict: set-but-blank aborts).
   std::string span_trace_path = runtime::env_string("RE_TRACE", "");
@@ -114,6 +118,9 @@ Options parse_options(int argc, char** argv) {
       usage_and_exit();
     }
   }
+  if (options.trace_out.empty() && options.replay_path.empty()) {
+    options.trace_out = "re_check_violation.trace";
+  }
   return options;
 }
 
@@ -132,12 +139,15 @@ int report_violation(const check::Scenario& scenario,
     std::printf("re_check: invariant violated: %s (pre-schedule): %s\n",
                 violation.invariant.c_str(), violation.detail.c_str());
   }
-  if (io::save_trace(options.trace_out, scenario)) {
+  // Empty only for a replay without --trace-out: the scenario is
+  // already on disk.
+  const bool save = !options.trace_out.empty();
+  if (save && io::save_trace(options.trace_out, scenario)) {
     std::printf("trace written: %s (%zu ops)\n", options.trace_out.c_str(),
                 scenario.ops.size());
     std::printf("replay with: re_check --replay %s\n",
                 options.trace_out.c_str());
-  } else {
+  } else if (save) {
     std::fprintf(stderr, "re_check: cannot write trace %s\n",
                  options.trace_out.c_str());
   }
@@ -148,7 +158,7 @@ int report_violation(const check::Scenario& scenario,
     std::printf("shrunk to %zu ops (from %zu, %zu oracle runs)\n",
                 minimal.ops.size(), scenario.ops.size(), stats.oracle_runs);
     const std::string minimal_path = options.trace_out + ".min";
-    if (io::save_trace(minimal_path, minimal)) {
+    if (save && io::save_trace(minimal_path, minimal)) {
       std::printf("shrunk trace written: %s\n", minimal_path.c_str());
     }
     std::printf("--- regression skeleton ---\n%s"

@@ -355,17 +355,17 @@ ExperimentResult ExperimentController::run_rounds(Setup setup,
         result.propagation_perf.fib_compiles += fib.compiles();
         result.propagation_perf.fib_hits += fib.hits();
         result.propagation_perf.fib_invalidations += fib.invalidations();
-        return result;
+        return std::move(result);
       }
     }
   }
 
   result.experiment_end = network.clock().now();
-  result.update_log = network.update_log();
+  result.update_log = std::move(network.update_log());
   result.propagation_perf.fib_compiles += fib.compiles();
   result.propagation_perf.fib_hits += fib.hits();
   result.propagation_perf.fib_invalidations += fib.invalidations();
-  return result;
+  return std::move(result);
 }
 
 ExperimentResult ExperimentController::run() {
@@ -460,7 +460,7 @@ void encode_observation(net::BinaryWriter& w, const PrefixObservation& obs) {
   for (const probing::PrefixRoundResult& round : obs.rounds) {
     encode_prefix(w, round.prefix);
     w.u32(round.origin.value());
-    w.u64(round.packet_mismatches);
+    w.u64(0);  // retired field (was packet_mismatches): keeps the format
     w.u64(round.outcomes.size());
     for (const probing::ProbeOutcome& outcome : round.outcomes) {
       w.u32(outcome.address.value());
@@ -480,7 +480,7 @@ PrefixObservation decode_observation(net::BinaryReader& r) {
     probing::PrefixRoundResult round;
     round.prefix = decode_prefix(r);
     round.origin = net::Asn{r.u32()};
-    round.packet_mismatches = r.u64();
+    r.u64();  // retired field (was packet_mismatches): always 0
     const std::uint64_t outcomes = r.length(1u << 24);
     round.outcomes.reserve(outcomes);
     for (std::uint64_t j = 0; j < outcomes; ++j) {

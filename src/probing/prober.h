@@ -4,7 +4,10 @@
 // applies transient per-probe loss, and records which VLAN interface each
 // response arrived on. The actual routing outcome is supplied by a
 // resolver callback (the dataplane module), keeping the prober independent
-// of BGP machinery — as scamper is.
+// of BGP machinery — as scamper is. The prober records routing outcomes
+// only and builds no packets: the observable is (target, round) → arrival
+// VLAN. The wire codec (packet.h) serves the tracer, and packet_test
+// round-trips it over every selected seed target.
 //
 // Probing is read-only against the converged network state, so prefixes
 // shard cleanly across worker threads: every prefix consumes its own RNG
@@ -20,23 +23,16 @@
 #include "netbase/clock.h"
 #include "netbase/rng.h"
 #include "probing/host.h"
-#include "probing/packet.h"
 #include "probing/seeds.h"
 #include "runtime/thread_pool.h"
 
 namespace re::probing {
 
+// Probe pacing and loss, the prober's only settings: it records each
+// target's routing outcome and builds no packets.
 struct ProberConfig {
   double pps = 100.0;               // paper: 100 packets/second (§3.3)
   double transient_loss = 0.0005;   // per-probe loss probability
-
-  // When set, every probe is actually encoded as a wire packet and every
-  // response synthesized and matched back through the packet codec —
-  // end-to-end verification that the scamper layer agrees with the
-  // routing layer.
-  bool verify_packets = true;
-  net::IPv4Address source_address =
-      net::IPv4Address::from_octets(163, 253, 63, 63);
 };
 
 // One probe's outcome within a round.
@@ -51,8 +47,6 @@ struct PrefixRoundResult {
   net::Prefix prefix;
   net::Asn origin;
   std::vector<ProbeOutcome> outcomes;
-  // Packet-codec verification failures for this prefix (see ProberConfig).
-  std::size_t packet_mismatches = 0;
 
   std::size_t response_count() const {
     std::size_t n = 0;
@@ -67,8 +61,6 @@ struct RoundResult {
   net::SimTime finished_at = 0;
   std::size_t probes_sent = 0;
   std::size_t responses = 0;
-  // Packet-codec verification failures (always 0 in a healthy build).
-  std::size_t packet_mismatches = 0;
 };
 
 // Resolves one target to the VLAN its response arrives on; nullopt means

@@ -2,7 +2,11 @@
 // construction, response matching, and corruption rejection.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "probing/packet.h"
+#include "probing/seeds.h"
+#include "topology/ecosystem.h"
 
 namespace re::probing {
 namespace {
@@ -213,6 +217,45 @@ TEST_F(PacketFactoryTest, ProbeSourceIsMeasurementAddress) {
   ASSERT_TRUE(ip.has_value());
   EXPECT_EQ(ip->source, kSource);
   EXPECT_EQ(ip->destination, kTarget);
+}
+
+// The prober records routing outcomes without building packets, so the
+// codec's agreement with the probe plan is checked here instead: every
+// target re_survey --scale 0.05 selects (the SurveyDigestPin world) must
+// encode, be answered, and match back, and an answer must not match the
+// factory's next probe.
+TEST_F(PacketFactoryTest, EverySelectedSeedTargetRoundTrips) {
+  topo::EcosystemParams params = topo::EcosystemParams{}.scaled(0.05);
+  params.seed = 20250529;
+  const topo::Ecosystem ecosystem = topo::Ecosystem::generate(params);
+  const SeedDatabase db =
+      SeedDatabase::generate(ecosystem, SeedGenParams{});
+  const SelectionResult selection = select_probe_seeds(ecosystem, db, 11);
+  ASSERT_FALSE(selection.seeds.empty());
+
+  std::size_t unmatched = 0, cross_matched = 0;
+  std::size_t by_method[3] = {0, 0, 0};
+  std::string first_failure;
+  for (const PrefixSeeds& prefix : selection.seeds) {
+    for (const ProbeTarget& target : prefix.targets) {
+      ++by_method[static_cast<std::size_t>(target.method)];
+      const ProbePacket probe = factory_.make_probe(target);
+      const auto response = factory_.make_response(probe);
+      const bool matched = factory_.matches(probe, response);
+      const bool next_matched =
+          factory_.matches(factory_.make_probe(target), response);
+      unmatched += matched ? 0 : 1;
+      cross_matched += next_matched ? 1 : 0;
+      if ((!matched || next_matched) && first_failure.empty()) {
+        first_failure = target.address.to_string();
+      }
+    }
+  }
+  EXPECT_EQ(unmatched, 0u) << "first failing target " << first_failure;
+  EXPECT_EQ(cross_matched, 0u) << "first failing target " << first_failure;
+  EXPECT_GT(by_method[static_cast<std::size_t>(ProbeMethod::kIcmpEcho)], 0u);
+  EXPECT_GT(by_method[static_cast<std::size_t>(ProbeMethod::kTcpSyn)], 0u);
+  EXPECT_GT(by_method[static_cast<std::size_t>(ProbeMethod::kUdp)], 0u);
 }
 
 }  // namespace
