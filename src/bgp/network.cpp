@@ -45,8 +45,9 @@ Speaker& BgpNetwork::add_speaker(net::Asn asn) {
   if (const auto it = index_.find(asn); it != index_.end()) {
     return *speakers_[it->second];
   }
-  index_[asn] = speakers_.size();
-  speakers_.push_back(std::make_unique<Speaker>(asn, &paths_));
+  const auto index = static_cast<std::uint32_t>(speakers_.size());
+  index_[asn] = index;
+  speakers_.push_back(std::make_unique<Speaker>(asn, &paths_, &rib_, index));
   return *speakers_.back();
 }
 
@@ -58,13 +59,8 @@ std::vector<net::Asn> BgpNetwork::asns() const {
   return out;
 }
 
-void BgpNetwork::reserve_topology(std::size_t speakers, std::size_t edges) {
+void BgpNetwork::reserve_topology(std::size_t speakers) {
   index_.reserve(speakers);
-  // One directed flow / suppression entry per session direction per
-  // prefix in flight; sweeps run one or a few prefixes at a time, so the
-  // per-link directed-pair count is the right order of magnitude.
-  edge_flow_.reserve(edges * 2);
-  sent_.reserve(edges * 2);
 }
 
 void BgpNetwork::connect_transit(net::Asn provider, net::Asn customer,
@@ -104,21 +100,11 @@ net::SimTime BgpNetwork::edge_delay(net::Asn from, net::Asn to,
   return base + static_cast<net::SimTime>(h % 20);
 }
 
-std::uint32_t BgpNetwork::channel_for(const net::Prefix& prefix) {
-  if (const auto it = channel_index_.find(prefix);
-      it != channel_index_.end()) {
-    return it->second;
-  }
-  const auto id = static_cast<std::uint32_t>(channels_.size());
-  channel_index_.insert_or_assign(prefix, id);
-  channels_.push_back(Channel{prefix, {}});
-  return id;
-}
-
-void BgpNetwork::enqueue(net::Asn from, net::Asn to,
-                         const UpdateMessage& update, net::SimTime now) {
+void BgpNetwork::enqueue(PrefixColumn& column, std::uint32_t id, net::Asn from,
+                         net::Asn to, const UpdateMessage& update,
+                         net::SimTime now) {
   PendingMessage msg;
-  EdgeFlowState& flow = edge_flow_[EdgePrefixKey{from, to, update.prefix}];
+  EdgeFlowState& flow = column.edge_flow[edge_key(from, to)];
   msg.deliver_at = now + edge_delay(from, to, update.prefix, flow.sent);
   ++flow.sent;
   // Per-(session, prefix) FIFO: an update for a prefix never overtakes an
@@ -131,7 +117,6 @@ void BgpNetwork::enqueue(net::Asn from, net::Asn to,
   msg.from = from;
   msg.to = to;
   msg.update = update;
-  const std::uint32_t id = channel_for(update.prefix);
   Channel& channel = channels_[id];
   channel.queue.push(msg);
   ++total_pending_;
@@ -147,18 +132,22 @@ void BgpNetwork::enqueue(net::Asn from, net::Asn to,
 void BgpNetwork::flush_exports(Speaker& from, const net::Prefix& prefix,
                                net::SimTime now) {
   // Resolve the per-prefix export inputs once; the loop below asks a
-  // per-session question per neighbor.
-  const Speaker::ExportProbe probe = from.export_probe(prefix);
+  // per-session question per neighbor. The column is taken for writing
+  // first, so the probe reads the copy the sends below update.
+  const std::uint32_t id = channel_for(prefix);
+  PrefixColumn& column = rib_.write(id);
+  const Speaker::ExportProbe probe =
+      from.export_probe(column.state(from.index()));
   for (const Session& session : from.sessions()) {
     // A failed session carries nothing — not even a withdrawal. The
     // remote end already invalidated the route when the failure was
     // injected.
     if (from.session_failed(session.neighbor, prefix)) continue;
-    const EdgePrefixKey key{from.asn(), session.neighbor, prefix};
+    const std::uint64_t key = edge_key(from.asn(), session.neighbor);
     auto announcement = probe.announcement(session);
-    auto it = sent_.find(key);
+    auto it = column.sent.find(key);
     if (announcement) {
-      if (it != sent_.end()) {
+      if (it != column.sent.end()) {
         if (!it->second.withdrawn && it->second.path == announcement->path &&
             it->second.origin == announcement->origin) {
           continue;  // nothing new to say
@@ -166,17 +155,17 @@ void BgpNetwork::flush_exports(Speaker& from, const net::Prefix& prefix,
         // Reuse the slot located by find() instead of probing again.
         it->second = SentState{false, announcement->path, announcement->origin};
       } else {
-        sent_.insert_or_assign(
+        column.sent.insert_or_assign(
             key, SentState{false, announcement->path, announcement->origin});
       }
-      enqueue(from.asn(), session.neighbor, *announcement, now);
+      enqueue(column, id, from.asn(), session.neighbor, *announcement, now);
     } else {
-      if (it == sent_.end() || it->second.withdrawn) continue;
+      if (it == column.sent.end() || it->second.withdrawn) continue;
       it->second = SentState{};
       UpdateMessage withdraw;
       withdraw.prefix = prefix;
       withdraw.withdraw = true;
-      enqueue(from.asn(), session.neighbor, withdraw, now);
+      enqueue(column, id, from.asn(), session.neighbor, withdraw, now);
     }
   }
   if (collector_peers_.count(from.asn()) != 0) {
@@ -188,24 +177,25 @@ void BgpNetwork::record_collector(net::Asn peer, const net::Prefix& prefix,
                                   net::SimTime now) {
   Speaker* s = speaker(peer);
   if (s == nullptr) return;
+  // Take the column for writing before reading the view from it: a clone
+  // replaces the handle, and `view` must point into the kept copy.
+  auto& collector_sent = rib_.write(channel_for(prefix)).collector_sent;
   // A VRF-split AS feeds the collector from its commodity VRF (§4.1.1).
   const Route* view =
       s->vrf_split_export() ? s->best_commodity(prefix) : s->best(prefix);
-
-  const EdgePrefixKey key{peer, net::Asn{}, prefix};
-  auto it = collector_sent_.find(key);
+  auto it = collector_sent.find(peer);
   if (view != nullptr) {
     const PathId exported = paths_.prepended(view->path, peer, 1);
-    if (it != collector_sent_.end()) {
+    if (it != collector_sent.end()) {
       if (!it->second.withdrawn && it->second.path == exported) return;
       it->second = SentState{false, exported, view->origin};
     } else {
-      collector_sent_.insert_or_assign(
-          key, SentState{false, exported, view->origin});
+      collector_sent.insert_or_assign(
+          peer, SentState{false, exported, view->origin});
     }
     log_.record(now, peer, prefix, false, paths_.span(exported));
   } else {
-    if (it == collector_sent_.end() || it->second.withdrawn) return;
+    if (it == collector_sent.end() || it->second.withdrawn) return;
     it->second = SentState{};
     log_.record(now, peer, prefix, true, std::span<const net::Asn>{});
   }
@@ -262,7 +252,7 @@ void BgpNetwork::fail_session(net::Asn a, net::Asn b, const net::Prefix& prefix)
     }
     // Forget what was sent over the dead session so that restoration
     // re-advertises from scratch.
-    sent_.erase(EdgePrefixKey{local, remote, prefix});
+    rib_.write(channel_for(prefix)).sent.erase(edge_key(local, remote));
   }
 }
 
@@ -285,9 +275,9 @@ void BgpNetwork::restore_session(net::Asn a, net::Asn b,
 
 void BgpNetwork::drop_in_flight(net::Asn a, net::Asn b,
                                 const net::Prefix& prefix) {
-  const auto it = channel_index_.find(prefix);
-  if (it == channel_index_.end()) return;
-  Channel& channel = channels_[it->second];
+  const std::uint32_t id = rib_.find_slot(prefix);
+  if (id >= channels_.size()) return;
+  Channel& channel = channels_[id];
   if (channel.queue.empty()) return;
   std::vector<PendingMessage> keep;
   keep.reserve(channel.queue.size());
@@ -329,7 +319,7 @@ ConvergenceStats BgpNetwork::run_dirty_to_convergence() {
   // messages in flight (deferred or deadline-stranded work).
   for (const net::Prefix& prefix : dirty_) ids.push_back(channel_for(prefix));
   for (std::uint32_t id = 0; id < channels_.size(); ++id) {
-    if (!channels_[id].queue.empty() && !dirty_.contains(channels_[id].prefix)) {
+    if (!channels_[id].queue.empty() && !dirty_.contains(rib_.prefix(id))) {
       ids.push_back(id);
     }
   }
@@ -345,9 +335,10 @@ std::vector<net::Prefix> BgpNetwork::dirty_prefixes() const {
   std::vector<net::Prefix> out;
   out.reserve(dirty_.size());
   for (const net::Prefix& prefix : dirty_) out.push_back(prefix);
-  for (const Channel& channel : channels_) {
-    if (!channel.queue.empty() && !dirty_.contains(channel.prefix)) {
-      out.push_back(channel.prefix);
+  for (std::uint32_t id = 0; id < channels_.size(); ++id) {
+    const net::Prefix& prefix = rib_.prefix(id);
+    if (!channels_[id].queue.empty() && !dirty_.contains(prefix)) {
+      out.push_back(prefix);
     }
   }
   std::sort(out.begin(), out.end());
@@ -507,9 +498,7 @@ ConvergenceStats BgpNetwork::run_channels(std::span<const std::uint32_t> scope,
     probes += s.probes;
   };
   add(index_.probe_stats());
-  add(edge_flow_.probe_stats());
-  add(sent_.probe_stats());
-  add(collector_sent_.probe_stats());
+  add(rib_.probe_stats());
   add(collector_peers_.probe_stats());
   stats.perf.map_lookups = lookups - reported_lookups_;
   stats.perf.map_probes = probes - reported_probes_;
@@ -540,20 +529,17 @@ void BgpNetwork::add_collector_peer(net::Asn peer) {
 }
 
 void BgpNetwork::clear_prefix(const net::Prefix& prefix) {
-  for (const auto& s : speakers_) s->clear_prefix(prefix);
-  sent_.erase_if([&](const auto& kv) { return kv.first.prefix == prefix; });
-  collector_sent_.erase_if(
-      [&](const auto& kv) { return kv.first.prefix == prefix; });
-  // Drop the per-flow delay/FIFO history too: a prefix announced after a
-  // clear must see the exact timeline a fresh network would give it
+  // One column drop removes every speaker's RIB entry and the per-edge
+  // send, FIFO-clamp and flow-counter history: a prefix announced after a
+  // clear sees the exact timeline a fresh network would give it
   // (rib_survey's batched sweeps rely on this for solo/batch identity).
-  edge_flow_.erase_if([&](const auto& kv) { return kv.first.prefix == prefix; });
-  // The channel is expected to be drained before clearing; any stragglers
-  // for this prefix are dropped on delivery because state was erased...
-  // but dropping them here keeps semantics crisp.
-  if (const auto it = channel_index_.find(prefix);
-      it != channel_index_.end()) {
-    Channel& channel = channels_[it->second];
+  const std::uint32_t id = rib_.find_slot(prefix);
+  if (id != RibStore::kNoSlot) rib_.drop(id);
+  for (const auto& s : speakers_) s->clear_prefix(prefix);  // failures
+  // The channel is expected to be drained before clearing; dropping any
+  // stragglers keeps semantics crisp.
+  if (id < channels_.size()) {
+    Channel& channel = channels_[id];
     total_pending_ -= channel.queue.size();
     channel.queue = {};
     ++channel.epoch;  // the prefix's state was just dropped

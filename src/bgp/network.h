@@ -33,9 +33,16 @@
 //
 // The network owns the PathTable all its speakers intern into: queued
 // messages and edge suppression state carry 32-bit PathIds, and the hot
-// maps (speaker index, per-edge-flow FIFO clamps, duplicate-suppression
-// state) are open-addressing FlatMaps. One table per network also keeps
+// maps are open-addressing FlatMaps. One table per network also keeps
 // parallel sweeps share-nothing: two networks never touch the same arena.
+//
+// All per-prefix state lives in the network's RibStore (rib_store.h): one
+// prefix column per channel slot, holding every speaker's RIB entry for
+// the prefix plus the prefix's per-edge duplicate-suppression, FIFO-clamp
+// and collector-feed state. Columns are shared copy-on-write between a
+// network, its checkpoints and their forks, so a fork costs O(prefixes)
+// handle copies plus a clone of each column it then writes, and clearing
+// a prefix drops its column.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +55,7 @@
 #include <vector>
 
 #include "bgp/path_table.h"
+#include "bgp/rib_store.h"
 #include "bgp/speaker.h"
 #include "bgp/update_log.h"
 #include "netbase/clock.h"
@@ -90,9 +98,11 @@ class BgpNetwork {
     const auto it = index_.find(asn);
     return it == index_.end() ? nullptr : speakers_[it->second].get();
   }
+  // Stat-free, like speaker_index(): the probing plane calls it from
+  // several pool workers at once.
   const Speaker* speaker(net::Asn asn) const {
-    const auto it = index_.find(asn);
-    return it == index_.end() ? nullptr : speakers_[it->second].get();
+    const std::size_t* idx = index_.find_concurrent(asn);
+    return idx == nullptr ? nullptr : speakers_[*idx].get();
   }
   bool contains(net::Asn asn) const { return index_.count(asn) != 0; }
   std::vector<net::Asn> asns() const;
@@ -127,17 +137,16 @@ class BgpNetwork {
   // forwarding state; an epoch change merely permits it (callers use this
   // for cache invalidation, never for semantics).
   std::uint64_t prefix_epoch(const net::Prefix& prefix) const {
-    const auto it = channel_index_.find(prefix);
+    const std::uint32_t id = rib_.find_slot(prefix);
     const std::uint64_t counter =
-        it == channel_index_.end() ? 0 : channels_[it->second].epoch;
+        id < channels_.size() ? channels_[id].epoch : 0;
     return (restore_generation_ << 48) | counter;
   }
 
-  // Pre-sizes the network-level hot maps from known topology
-  // cardinalities (speaker and directed-session-pair counts), so the
-  // first convergence wave does not pay rehash churn. Builders call this
-  // up front; calling late or not at all is merely slower.
-  void reserve_topology(std::size_t speakers, std::size_t edges);
+  // Pre-sizes the speaker index from the known speaker count, so building
+  // the topology does not pay rehash churn. Builders call this up front;
+  // calling late or not at all is merely slower.
+  void reserve_topology(std::size_t speakers);
 
   // Provider-customer link: `customer` buys transit from `provider`.
   void connect_transit(net::Asn provider, net::Asn customer, bool re_edge = false);
@@ -223,27 +232,31 @@ class BgpNetwork {
 
   // --- Checkpoint / fork ----------------------------------------------------
 
-  // The full network state at a point in time: speakers (RIBs, policies,
-  // damping), in-flight messages, per-edge FIFO clamps and duplicate
-  // suppression, collector log, clock — with all AS paths held in a
-  // frozen, shared PathTable base. Defined after the class.
+  // The full network state at a point in time: speakers (policies,
+  // sessions, failures), prefix columns (RIBs, damping, per-edge FIFO
+  // clamps and duplicate suppression), in-flight messages, collector log,
+  // clock — with all AS paths held in a frozen, shared PathTable base.
+  // Defined after the class.
   struct Snapshot;
 
   // Captures the current state. Freezes the path table first, so the
   // snapshot (and every fork made from it) *shares* the interned arena
-  // with this network instead of copying it: a checkpoint is O(live
-  // state), not O(propagation history). Freezing preserves every PathId,
-  // so taking a checkpoint never perturbs subsequent results.
+  // with this network instead of copying it, and shares every prefix
+  // column: a checkpoint copies one handle per prefix, and this network
+  // clones a column the next time it writes it. Freezing preserves every
+  // PathId, so taking a checkpoint never perturbs subsequent results.
   Snapshot checkpoint();
 
   // Replaces this network's state with the snapshot's (the clock rewinds
-  // to the snapshot time).
+  // to the snapshot time). Columns stay shared until first written.
   void restore(const Snapshot& snap);
 
-  // Content digest over the canonical serialization of the full state.
-  // The bit-identity contract: a forked run and a fresh run that executed
-  // the same schedule produce equal digests.
-  std::uint64_t state_digest();
+  // Content digest over the canonical serialization of the full state —
+  // equal to checkpoint().digest(), computed from the live state without
+  // taking a checkpoint (no freeze, no column sharing, no
+  // perf.checkpoints count). The bit-identity contract: a forked run and
+  // a fresh run that executed the same schedule produce equal digests.
+  std::uint64_t state_digest() const;
 
   // Content digest over everything the network knows about one prefix:
   // every speaker's RIB/damping/failure state for it, the per-edge flow
@@ -258,7 +271,8 @@ class BgpNetwork {
   // --- Maintenance -----------------------------------------------------------
 
   // Drops all state for `prefix` everywhere (used when sweeping many
-  // prefixes through the network one at a time).
+  // prefixes through the network one at a time): its column, its queued
+  // messages and every session failure scoped to it.
   void clear_prefix(const net::Prefix& prefix);
 
  private:
@@ -276,11 +290,10 @@ class BgpNetwork {
     }
   };
 
-  // One prefix's slice of the message pipeline. Slots are created on
-  // first enqueue and persist (empty) after clear_prefix, so channel ids
-  // stay stable for a network's lifetime.
+  // One prefix's slice of the message pipeline. Channel ids are the
+  // RibStore's prefix slots: created on first use, persisting (empty)
+  // after clear_prefix, and carried over by restore().
   struct Channel {
-    net::Prefix prefix;
     std::priority_queue<PendingMessage, std::vector<PendingMessage>, LaterFirst>
         queue;
     // Mutation counter for prefix_epoch() (not part of snapshot state —
@@ -304,40 +317,6 @@ class BgpNetwork {
     }
   };
 
-  // What was last sent on a directed edge for a prefix (announce content
-  // or withdrawal), to suppress duplicate updates.
-  struct SentState {
-    bool withdrawn = true;
-    PathId path;
-    Origin origin = Origin::kIgp;
-  };
-  struct EdgePrefixKey {
-    net::Asn from, to;
-    net::Prefix prefix;
-    bool operator==(const EdgePrefixKey&) const = default;
-  };
-  struct EdgePrefixKeyHash {
-    std::size_t operator()(const EdgePrefixKey& k) const noexcept {
-      // Two independently mixed halves: the edge pair and the prefix.
-      // (A multiply-xor chain over identity hashes clusters badly under
-      // power-of-two masking; full avalanche per half is cheap insurance.)
-      const std::uint64_t edge =
-          (std::uint64_t{k.from.value()} << 32) | k.to.value();
-      const std::uint64_t pfx =
-          (std::uint64_t{k.prefix.network().value()} << 8) | k.prefix.length();
-      return static_cast<std::size_t>(
-          net::mix64(net::mix64(edge) ^ pfx));
-    }
-  };
-
-  // Per-(directed edge, prefix) flow state: the FIFO clamp (BGP runs over
-  // TCP — an update for a prefix never overtakes an earlier one on the
-  // same session) and the message counter that keys the stateless jitter.
-  struct EdgeFlowState {
-    net::SimTime last_delivery = 0;
-    std::uint32_t sent = 0;
-  };
-
   // Queues this speaker's current exports for `prefix` toward all
   // sessions, suppressing duplicates. `now` is the simulated time the
   // flush happens at — the current round's tick inside a run (which may
@@ -349,15 +328,20 @@ class BgpNetwork {
   void record_collector(net::Asn peer, const net::Prefix& prefix,
                         net::SimTime now);
 
-  void enqueue(net::Asn from, net::Asn to, const UpdateMessage& update,
-               net::SimTime now);
+  // `column` is the update's prefix column (its edge flow state).
+  void enqueue(PrefixColumn& column, std::uint32_t channel, net::Asn from,
+               net::Asn to, const UpdateMessage& update, net::SimTime now);
 
   // Delivers one message at its tick.
   void deliver(const PendingMessage& msg, ConvergenceStats& stats,
                net::SimTime now);
 
   // The channel slot for `prefix`, created on first use.
-  std::uint32_t channel_for(const net::Prefix& prefix);
+  std::uint32_t channel_for(const net::Prefix& prefix) {
+    const std::uint32_t id = rib_.slot(prefix);
+    if (id >= channels_.size()) channels_.resize(id + 1);
+    return id;
+  }
 
   // Seeds the dirty set and bumps the prefix's mutation epoch — the one
   // funnel every explicit per-prefix mutation goes through.
@@ -365,6 +349,14 @@ class BgpNetwork {
     dirty_.insert(prefix);
     ++channels_[channel_for(prefix)].epoch;
   }
+
+  // Gathers every queued message in (deliver_at, seq) order.
+  std::vector<PendingMessage> sorted_queue() const;
+
+  // The canonical encoding of a full state, shared by Snapshot::encode
+  // and state_digest (defined in network_snapshot.cpp).
+  struct EncodeView;
+  static void encode_state(net::BinaryWriter& w, const EncodeView& view);
 
   // The engine shared by every run flavor: drains the scoped channels
   // (all of them when `full`) in global (deliver_at, seq) order up to
@@ -382,17 +374,19 @@ class BgpNetwork {
   net::SimClock clock_;
   std::uint64_t seed_;
   PathTable paths_;  // must outlive speakers_ (they hold a pointer to it)
+  RibStore rib_;     // likewise
   std::vector<std::unique_ptr<Speaker>> speakers_;  // stable addresses
   net::FlatMap<net::Asn, std::size_t> index_;
 
-  // Per-prefix message channels (see Channel above) plus the prefixes
+  // Per-prefix message channels (see Channel above; ids index rib_'s
+  // slots, and a slot without a channel yet has nothing queued) plus the
+  // prefixes
   // explicitly perturbed since they last drained. The effective dirty set
   // is dirty_ ∪ {prefixes with non-empty channels}: a mutation whose
   // flush emitted nothing still shows up (trivially converged), and
   // messages deferred past a run_until deadline stay dirty without any
   // bookkeeping on the enqueue hot path.
   std::vector<Channel> channels_;
-  net::FlatMap<net::Prefix, std::uint32_t> channel_index_;
   std::size_t total_pending_ = 0;
   net::FlatSet<net::Prefix> dirty_;
   std::uint64_t next_seq_ = 0;
@@ -404,11 +398,8 @@ class BgpNetwork {
   net::FlatSet<net::Asn> touched_speakers_;  // per-run distinct destinations
   bool run_active_ = false;  // enqueue feeds active_ only during a run
   RoundObserver round_observer_;  // round-boundary hook (see setter)
-  net::FlatMap<EdgePrefixKey, EdgeFlowState, EdgePrefixKeyHash> edge_flow_;
-  net::FlatMap<EdgePrefixKey, SentState, EdgePrefixKeyHash> sent_;
 
   net::FlatSet<net::Asn> collector_peers_;
-  net::FlatMap<EdgePrefixKey, SentState, EdgePrefixKeyHash> collector_sent_;
   UpdateLog log_;
 
   std::vector<PendingMessage> round_;  // current round, seq order (scratch)
@@ -427,10 +418,12 @@ class BgpNetwork {
   std::uint64_t restore_generation_ = 0;
 };
 
-// The captured state. Holds plain copies of everything mutable except AS
-// paths, which live in the shared frozen base: forks created from one
-// snapshot — and the network that produced it — all point at the same
-// immutable arena, extending it privately and append-only.
+// The captured state. Holds plain copies of the speakers' own state, the
+// queue and the collector log; AS paths and prefix columns are shared.
+// Forks created from one snapshot — and the network that produced it —
+// all point at the same immutable path arena, extending it privately and
+// append-only, and at the same immutable columns, cloning one only when
+// they first write it.
 struct BgpNetwork::Snapshot {
   std::uint64_t seed = 0;
   net::SimTime now = 0;
@@ -438,10 +431,10 @@ struct BgpNetwork::Snapshot {
   std::vector<Speaker::Snapshot> speakers;  // in add_speaker order
   std::vector<PendingMessage> queue;        // sorted by (deliver_at, seq)
   std::uint64_t next_seq = 0;
-  net::FlatMap<EdgePrefixKey, EdgeFlowState, EdgePrefixKeyHash> edge_flow;
-  net::FlatMap<EdgePrefixKey, SentState, EdgePrefixKeyHash> sent;
+  // Prefix slots and their columns (null: nothing written yet).
+  std::vector<net::Prefix> prefixes;
+  std::vector<RibStore::Handle> columns;
   net::FlatSet<net::Asn> collector_peers;
-  net::FlatMap<EdgePrefixKey, SentState, EdgePrefixKeyHash> collector_sent;
   UpdateLog log;
 
   // A new network in exactly this state, sharing the frozen path arena

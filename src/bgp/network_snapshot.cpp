@@ -2,17 +2,24 @@
 // network.h and DESIGN.md §5d).
 //
 // A checkpoint freezes the network's PathTable into an immutable shared
-// base and copies the remaining live state: speaker snapshots, the
-// in-flight message queue, per-edge FIFO clamps and duplicate-suppression
-// maps, and the collector log. Forks restore that state into fresh
-// networks that extend the shared arena privately, so N variant runs off
-// one converged baseline cost one baseline convergence plus N deltas.
+// base, shares every prefix column (RIBs, per-edge FIFO clamps and
+// duplicate suppression) copy-on-write, and copies the remaining live
+// state: speaker sessions and policies, the in-flight message queue and
+// the collector log. Forks restore that state into fresh networks that
+// extend the shared arena privately and clone a column only when they
+// first write it, so N variant runs off one converged baseline cost one
+// baseline convergence plus N deltas.
 //
 // Serialization is canonical: maps are walked in sorted key order and the
 // path table is written in id order, so equal states produce equal bytes
-// and the digest doubles as the fork-vs-fresh bit-identity check.
+// and the digest doubles as the fork-vs-fresh bit-identity check. The
+// prefix-major columns are written network-wide (each speaker's RIB in
+// prefix order, each per-edge table in (from, to, prefix) order), so the
+// bytes do not depend on how the columns are sliced or ordered in memory.
 
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -22,6 +29,28 @@
 #include "obs/trace.h"
 
 namespace re::bgp {
+
+std::vector<BgpNetwork::PendingMessage> BgpNetwork::sorted_queue() const {
+  // Gather in-flight messages across all per-prefix channels, then order
+  // them globally by (time, seq) — the same canonical order the old
+  // single-queue engine drained a copy in, so the encode format (and
+  // therefore every digest) is unchanged by the channel partition.
+  std::vector<PendingMessage> queue;
+  queue.reserve(total_pending_);
+  for (const Channel& channel : channels_) {
+    auto queue_copy = channel.queue;
+    while (!queue_copy.empty()) {
+      queue.push_back(queue_copy.top());
+      queue_copy.pop();
+    }
+  }
+  std::sort(queue.begin(), queue.end(),
+            [](const PendingMessage& a, const PendingMessage& b) {
+              return std::tie(a.deliver_at, a.seq) <
+                     std::tie(b.deliver_at, b.seq);
+            });
+  return queue;
+}
 
 BgpNetwork::Snapshot BgpNetwork::checkpoint() {
   RE_SPAN("snapshot.checkpoint");
@@ -33,28 +62,10 @@ BgpNetwork::Snapshot BgpNetwork::checkpoint() {
   for (const auto& speaker : speakers_) {
     snap.speakers.push_back(speaker->snapshot());
   }
-  // Gather in-flight messages across all per-prefix channels, then order
-  // them globally by (time, seq) — the same canonical order the old
-  // single-queue engine drained a copy in, so the encode format (and
-  // therefore every digest) is unchanged by the channel partition.
-  snap.queue.reserve(total_pending_);
-  for (const Channel& channel : channels_) {
-    auto queue_copy = channel.queue;
-    while (!queue_copy.empty()) {
-      snap.queue.push_back(queue_copy.top());
-      queue_copy.pop();
-    }
-  }
-  std::sort(snap.queue.begin(), snap.queue.end(),
-            [](const PendingMessage& a, const PendingMessage& b) {
-              return std::tie(a.deliver_at, a.seq) <
-                     std::tie(b.deliver_at, b.seq);
-            });
+  snap.queue = sorted_queue();
   snap.next_seq = next_seq_;
-  snap.edge_flow = edge_flow_;
-  snap.sent = sent_;
+  rib_.share(snap.prefixes, snap.columns);
   snap.collector_peers = collector_peers_;
-  snap.collector_sent = collector_sent_;
   snap.log = log_;
   ++checkpoints_;
   return snap;
@@ -65,13 +76,14 @@ void BgpNetwork::restore(const Snapshot& snap) {
   seed_ = snap.seed;
   clock_ = net::SimClock(snap.now);
   paths_ = PathTable(snap.paths);
+  rib_.assign(snap.prefixes, snap.columns);
   speakers_.clear();
   index_.clear();
   for (const Speaker::Snapshot& speaker : snap.speakers) {
     add_speaker(speaker.asn).restore(speaker);
   }
   channels_.clear();
-  channel_index_.clear();
+  channels_.resize(rib_.size());
   total_pending_ = 0;
   active_ = {};
   run_active_ = false;
@@ -88,10 +100,7 @@ void BgpNetwork::restore(const Snapshot& snap) {
     ++total_pending_;
   }
   next_seq_ = snap.next_seq;
-  edge_flow_ = snap.edge_flow;
-  sent_ = snap.sent;
   collector_peers_ = snap.collector_peers;
-  collector_sent_ = snap.collector_sent;
   log_ = snap.log;
   forked_ = true;
   // Rebase the probe-stat delta baselines on the restored maps' carried
@@ -102,15 +111,25 @@ void BgpNetwork::restore(const Snapshot& snap) {
     probes += stats.probes;
   };
   add(index_.probe_stats());
-  add(edge_flow_.probe_stats());
-  add(sent_.probe_stats());
-  add(collector_sent_.probe_stats());
+  add(rib_.probe_stats());
   add(collector_peers_.probe_stats());
   reported_lookups_ = lookups;
   reported_probes_ = probes;
 }
 
-std::uint64_t BgpNetwork::state_digest() { return checkpoint().digest(); }
+namespace {
+
+std::uint64_t digest_bytes(std::span<const std::uint8_t> bytes) {
+  // FNV-1a over the canonical bytes, finished with a full avalanche.
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t byte : bytes) {
+    h ^= byte;
+    h *= 1099511628211ull;
+  }
+  return net::mix64(h);
+}
+
+}  // namespace
 
 std::uint64_t BgpNetwork::prefix_state_digest(const net::Prefix& prefix) const {
   // Canonical *content* encoding of everything the network knows about one
@@ -132,46 +151,37 @@ std::uint64_t BgpNetwork::prefix_state_digest(const net::Prefix& prefix) const {
     speaker->encode_prefix_state(prefix, w);
   }
 
-  const auto key_less = [](const EdgePrefixKey& a, const EdgePrefixKey& b) {
-    return std::tie(a.from, a.to) < std::tie(b.from, b.to);
-  };
+  // Per-edge state, each table in (from, to) order.
+  const PrefixColumn* column = rib_.column(prefix);
   const auto encode_path_contents = [&](PathId id) {
     const auto path = paths_.span(id);
     w.u64(path.size());
     for (const net::Asn hop : path) w.u32(hop.value());
   };
-  const auto encode_sent_map = [&](const auto& map) {
-    std::vector<const std::pair<EdgePrefixKey, SentState>*> rows;
-    for (const auto& kv : map) {
-      if (kv.first.prefix == prefix) rows.push_back(&kv);
-    }
-    std::sort(rows.begin(), rows.end(), [&](const auto* a, const auto* b) {
-      return key_less(a->first, b->first);
-    });
-    w.u64(rows.size());
-    for (const auto* kv : rows) {
-      w.u32(kv->first.from.value());
-      w.u32(kv->first.to.value());
-      w.boolean(kv->second.withdrawn);
-      if (!kv->second.withdrawn) encode_path_contents(kv->second.path);
-      w.u8(static_cast<std::uint8_t>(kv->second.origin));
-    }
+  const auto encode_sent = [&](std::uint64_t key, const SentState& sent) {
+    w.u32(edge_from(key).value());
+    w.u32(edge_to(key).value());
+    w.boolean(sent.withdrawn);
+    if (!sent.withdrawn) encode_path_contents(sent.path);
+    w.u8(static_cast<std::uint8_t>(sent.origin));
   };
-  encode_sent_map(sent_);
-  encode_sent_map(collector_sent_);
-
-  {
-    std::vector<const std::pair<EdgePrefixKey, EdgeFlowState>*> rows;
-    for (const auto& kv : edge_flow_) {
-      if (kv.first.prefix == prefix) rows.push_back(&kv);
+  if (column == nullptr) {
+    w.u64(0);  // sent
+    w.u64(0);  // collector_sent
+    w.u64(0);  // edge_flow
+  } else {
+    w.u64(column->sent.size());
+    for (const auto* kv : net::sorted_by_key(column->sent)) {
+      encode_sent(kv->first, kv->second);
     }
-    std::sort(rows.begin(), rows.end(), [&](const auto* a, const auto* b) {
-      return key_less(a->first, b->first);
-    });
-    w.u64(rows.size());
-    for (const auto* kv : rows) {
-      w.u32(kv->first.from.value());
-      w.u32(kv->first.to.value());
+    w.u64(column->collector_sent.size());
+    for (const auto* kv : net::sorted_by_key(column->collector_sent)) {
+      encode_sent(edge_key(kv->first, net::Asn{}), kv->second);
+    }
+    w.u64(column->edge_flow.size());
+    for (const auto* kv : net::sorted_by_key(column->edge_flow)) {
+      w.u32(edge_from(kv->first).value());
+      w.u32(edge_to(kv->first).value());
       w.i64(kv->second.last_delivery);
       w.u32(kv->second.sent);
     }
@@ -180,9 +190,8 @@ std::uint64_t BgpNetwork::prefix_state_digest(const net::Prefix& prefix) const {
   // In-flight messages, in (deliver_at, seq) order but with the seq values
   // themselves omitted — per-prefix relative order is run-invariant, the
   // absolute seqs are not.
-  if (const auto it = channel_index_.find(prefix);
-      it != channel_index_.end()) {
-    auto queue_copy = channels_[it->second].queue;
+  if (const std::uint32_t id = rib_.find_slot(prefix); id < channels_.size()) {
+    auto queue_copy = channels_[id].queue;
     w.u64(queue_copy.size());
     while (!queue_copy.empty()) {
       const PendingMessage& msg = queue_copy.top();
@@ -210,13 +219,7 @@ std::uint64_t BgpNetwork::prefix_state_digest(const net::Prefix& prefix) const {
     w.u64(path.size());
     for (const net::Asn hop : path) w.u32(hop.value());
   }
-
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint8_t byte : w.bytes()) {
-    h ^= byte;
-    h *= 1099511628211ull;
-  }
-  return net::mix64(h);
+  return digest_bytes(w.bytes());
 }
 
 std::unique_ptr<BgpNetwork> BgpNetwork::Snapshot::fork() const {
@@ -256,31 +259,90 @@ UpdateMessage decode_update(net::BinaryReader& r) {
   return update;
 }
 
+void encode_sent_state(net::BinaryWriter& w, const SentState& sent) {
+  w.boolean(sent.withdrawn);
+  w.u32(sent.path.value());
+  w.u8(static_cast<std::uint8_t>(sent.origin));
+}
+
+// One row of a per-edge table in the network-wide encoding.
+template <typename T>
+struct EdgeRow {
+  std::uint64_t edge;  // edge_key(from, to)
+  net::Prefix prefix;
+  const T* value;
+};
+
+template <typename T, typename EncodeValue>
+void encode_edge_rows(net::BinaryWriter& w, std::vector<EdgeRow<T>>& rows,
+                      EncodeValue encode_value) {
+  std::sort(rows.begin(), rows.end(),
+            [](const EdgeRow<T>& a, const EdgeRow<T>& b) {
+              return std::tie(a.edge, a.prefix) < std::tie(b.edge, b.prefix);
+            });
+  w.u64(rows.size());
+  for (const EdgeRow<T>& row : rows) {
+    w.u32(edge_from(row.edge).value());
+    w.u32(edge_to(row.edge).value());
+    encode_prefix(w, row.prefix);
+    encode_value(w, *row.value);
+  }
+}
+
 }  // namespace
 
-void BgpNetwork::Snapshot::encode(net::BinaryWriter& w) const {
-  w.u64(seed);
-  w.i64(now);
-  w.u64(next_seq);
+// What the canonical encoding reads: a snapshot's state or a live
+// network's, through the same fields.
+struct BgpNetwork::EncodeView {
+  std::uint64_t seed = 0;
+  net::SimTime now = 0;
+  std::uint64_t next_seq = 0;
+  const PathTable& paths;
+  std::span<const Speaker::Snapshot> speakers;
+  std::span<const PendingMessage> queue;         // (deliver_at, seq) order
+  std::span<const RibStore::Handle> columns;     // any order; null skipped
+  const net::FlatSet<net::Asn>& collector_peers;
+  const UpdateLog& log;
+};
+
+void BgpNetwork::encode_state(net::BinaryWriter& w, const EncodeView& v) {
+  w.u64(v.seed);
+  w.i64(v.now);
+  w.u64(v.next_seq);
 
   // Path table in id order; decode re-interns in the same order, so every
   // PathId below serializes as a raw u32. Id 0 (the empty path) is
   // implicit.
-  const std::uint64_t path_count = paths == nullptr ? 1 : paths->entries.size();
-  w.u64(path_count);
-  for (std::uint64_t id = 1; id < path_count; ++id) {
-    const auto& entry = paths->entries[id];
-    w.u64(entry.length);
-    for (std::uint32_t i = 0; i < entry.length; ++i) {
-      w.u32(paths->arena[entry.offset + i].value());
-    }
+  w.u64(v.paths.size());
+  for (std::uint32_t id = 1; id < v.paths.size(); ++id) {
+    const auto path = v.paths.span(PathId{id});
+    w.u64(path.size());
+    for (const net::Asn hop : path) w.u32(hop.value());
   }
 
-  w.u64(speakers.size());
-  for (const Speaker::Snapshot& speaker : speakers) speaker.encode(w);
+  std::vector<const PrefixColumn*> columns;
+  columns.reserve(v.columns.size());
+  for (const RibStore::Handle& column : v.columns) {
+    if (column != nullptr) columns.push_back(column.get());
+  }
+  std::sort(columns.begin(), columns.end(),
+            [](const PrefixColumn* a, const PrefixColumn* b) {
+              return a->prefix < b->prefix;
+            });
 
-  w.u64(queue.size());
-  for (const PendingMessage& msg : queue) {
+  // Each speaker's record carries its RIB in prefix order.
+  w.u64(v.speakers.size());
+  std::vector<const PrefixState*> rib;
+  for (std::uint32_t i = 0; i < v.speakers.size(); ++i) {
+    rib.clear();
+    for (const PrefixColumn* column : columns) {
+      if (const PrefixState* state = column->state(i)) rib.push_back(state);
+    }
+    v.speakers[i].encode(w, rib);
+  }
+
+  w.u64(v.queue.size());
+  for (const PendingMessage& msg : v.queue) {
     w.i64(msg.deliver_at);
     w.u64(msg.seq);
     w.u32(msg.from.value());
@@ -288,56 +350,41 @@ void BgpNetwork::Snapshot::encode(net::BinaryWriter& w) const {
     encode_update(w, msg.update);
   }
 
-  const auto key_less = [](const EdgePrefixKey& a, const EdgePrefixKey& b) {
-    return std::tie(a.from, a.to, a.prefix) < std::tie(b.from, b.to, b.prefix);
-  };
-  const auto encode_key = [&](const EdgePrefixKey& key) {
-    w.u32(key.from.value());
-    w.u32(key.to.value());
-    encode_prefix(w, key.prefix);
-  };
-
-  {
-    std::vector<const std::pair<EdgePrefixKey, EdgeFlowState>*> rows;
-    rows.reserve(edge_flow.size());
-    for (const auto& kv : edge_flow) rows.push_back(&kv);
-    std::sort(rows.begin(), rows.end(),
-              [&](const auto* a, const auto* b) { return key_less(a->first, b->first); });
-    w.u64(rows.size());
-    for (const auto* kv : rows) {
-      encode_key(kv->first);
-      w.i64(kv->second.last_delivery);
-      w.u32(kv->second.sent);
+  // The per-edge tables, each written as one network-wide table sorted by
+  // (from, to, prefix); collector feeds are edges (peer, AS 0).
+  std::vector<EdgeRow<EdgeFlowState>> flows;
+  std::vector<EdgeRow<SentState>> sent;
+  std::vector<EdgeRow<SentState>> collector_sent;
+  for (const PrefixColumn* column : columns) {
+    for (const auto& [key, flow] : column->edge_flow) {
+      flows.push_back({key, column->prefix, &flow});
+    }
+    for (const auto& [key, state] : column->sent) {
+      sent.push_back({key, column->prefix, &state});
+    }
+    for (const auto& [peer, state] : column->collector_sent) {
+      collector_sent.push_back(
+          {edge_key(peer, net::Asn{}), column->prefix, &state});
     }
   }
-
-  const auto encode_sent_map = [&](const auto& map) {
-    std::vector<const std::pair<EdgePrefixKey, SentState>*> rows;
-    rows.reserve(map.size());
-    for (const auto& kv : map) rows.push_back(&kv);
-    std::sort(rows.begin(), rows.end(),
-              [&](const auto* a, const auto* b) { return key_less(a->first, b->first); });
-    w.u64(rows.size());
-    for (const auto* kv : rows) {
-      encode_key(kv->first);
-      w.boolean(kv->second.withdrawn);
-      w.u32(kv->second.path.value());
-      w.u8(static_cast<std::uint8_t>(kv->second.origin));
-    }
-  };
-  encode_sent_map(sent);
+  encode_edge_rows(w, flows,
+                   [](net::BinaryWriter& out, const EdgeFlowState& flow) {
+                     out.i64(flow.last_delivery);
+                     out.u32(flow.sent);
+                   });
+  encode_edge_rows(w, sent, encode_sent_state);
 
   {
     std::vector<net::Asn> peers;
-    peers.reserve(collector_peers.size());
-    for (const net::Asn peer : collector_peers) peers.push_back(peer);
+    peers.reserve(v.collector_peers.size());
+    for (const net::Asn peer : v.collector_peers) peers.push_back(peer);
     std::sort(peers.begin(), peers.end());
     w.u64(peers.size());
     for (const net::Asn peer : peers) w.u32(peer.value());
   }
-  encode_sent_map(collector_sent);
+  encode_edge_rows(w, collector_sent, encode_sent_state);
 
-  log.encode(w);
+  v.log.encode(w);
 }
 
 BgpNetwork::Snapshot BgpNetwork::Snapshot::decode(net::BinaryReader& r) {
@@ -362,15 +409,32 @@ BgpNetwork::Snapshot BgpNetwork::Snapshot::decode(net::BinaryReader& r) {
     snap.paths = table.freeze();
   }
 
+  // Prefix columns are rebuilt as their rows arrive; the slot order is
+  // first appearance (slot ids carry no meaning across a codec trip).
+  net::FlatMap<net::Prefix, std::uint32_t> slot_of;
+  std::vector<std::shared_ptr<PrefixColumn>> columns;
+  const auto column_for = [&](const net::Prefix& prefix) -> PrefixColumn& {
+    const auto [it, inserted] = slot_of.insert(
+        {prefix, static_cast<std::uint32_t>(columns.size())});
+    if (inserted) {
+      columns.push_back(std::make_shared<PrefixColumn>());
+      columns.back()->prefix = prefix;
+    }
+    return *columns[it->second];
+  };
+
   const std::uint64_t speaker_count = r.length(1u << 24);
-  snap.speakers.reserve(speaker_count);
-  for (std::uint64_t i = 0; i < speaker_count; ++i) {
-    snap.speakers.push_back(Speaker::Snapshot::decode(r));
+  std::vector<PrefixState> rib;
+  for (std::uint32_t i = 0; i < speaker_count && !r.failed(); ++i) {
+    rib.clear();
+    snap.speakers.push_back(Speaker::Snapshot::decode(r, rib));
+    for (PrefixState& state : rib) {
+      column_for(state.prefix).states.insert_or_assign(i, std::move(state));
+    }
   }
 
   const std::uint64_t queue_count = r.length(std::uint64_t{1} << 32);
-  snap.queue.reserve(queue_count);
-  for (std::uint64_t i = 0; i < queue_count; ++i) {
+  for (std::uint64_t i = 0; i < queue_count && !r.failed(); ++i) {
     PendingMessage msg;
     msg.deliver_at = r.i64();
     msg.seq = r.u64();
@@ -380,56 +444,74 @@ BgpNetwork::Snapshot BgpNetwork::Snapshot::decode(net::BinaryReader& r) {
     snap.queue.push_back(msg);
   }
 
-  const auto decode_key = [&] {
-    EdgePrefixKey key;
-    key.from = net::Asn{r.u32()};
-    key.to = net::Asn{r.u32()};
-    key.prefix = decode_prefix(r);
-    return key;
+  // Reads one per-edge table, handing each row's prefix column, edge key
+  // and reader position to `decode_value`.
+  const auto decode_rows = [&](auto decode_value) {
+    const std::uint64_t count = r.length(std::uint64_t{1} << 32);
+    for (std::uint64_t i = 0; i < count && !r.failed(); ++i) {
+      const net::Asn from{r.u32()};
+      const net::Asn to{r.u32()};
+      PrefixColumn& column = column_for(decode_prefix(r));
+      decode_value(column, edge_key(from, to));
+    }
   };
-
-  const std::uint64_t flow_count = r.length(std::uint64_t{1} << 32);
-  for (std::uint64_t i = 0; i < flow_count; ++i) {
-    const EdgePrefixKey key = decode_key();
+  const auto decode_sent = [&] {
+    SentState state;
+    state.withdrawn = r.boolean();
+    state.path = PathId{r.u32()};
+    state.origin = static_cast<Origin>(r.u8());
+    return state;
+  };
+  decode_rows([&](PrefixColumn& column, std::uint64_t edge) {
     EdgeFlowState state;
     state.last_delivery = r.i64();
     state.sent = r.u32();
-    snap.edge_flow.insert_or_assign(key, state);
-  }
-
-  const auto decode_sent_map = [&](auto& map) {
-    const std::uint64_t count = r.length(std::uint64_t{1} << 32);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const EdgePrefixKey key = decode_key();
-      SentState state;
-      state.withdrawn = r.boolean();
-      state.path = PathId{r.u32()};
-      state.origin = static_cast<Origin>(r.u8());
-      map.insert_or_assign(key, state);
-    }
-  };
-  decode_sent_map(snap.sent);
+    column.edge_flow.insert_or_assign(edge, state);
+  });
+  decode_rows([&](PrefixColumn& column, std::uint64_t edge) {
+    column.sent.insert_or_assign(edge, decode_sent());
+  });
 
   const std::uint64_t peer_count = r.length(1u << 24);
-  for (std::uint64_t i = 0; i < peer_count; ++i) {
+  for (std::uint64_t i = 0; i < peer_count && !r.failed(); ++i) {
     snap.collector_peers.insert(net::Asn{r.u32()});
   }
-  decode_sent_map(snap.collector_sent);
+  decode_rows([&](PrefixColumn& column, std::uint64_t edge) {
+    column.collector_sent.insert_or_assign(edge_from(edge), decode_sent());
+  });
 
   snap.log = UpdateLog::decode(r);
+
+  snap.prefixes.reserve(columns.size());
+  snap.columns.reserve(columns.size());
+  for (auto& column : columns) {
+    snap.prefixes.push_back(column->prefix);
+    snap.columns.push_back(std::move(column));  // owner 0: no store's
+  }
   return snap;
+}
+
+std::uint64_t BgpNetwork::state_digest() const {
+  std::vector<Speaker::Snapshot> speakers;
+  speakers.reserve(speakers_.size());
+  for (const auto& speaker : speakers_) speakers.push_back(speaker->snapshot());
+  const std::vector<PendingMessage> queue = sorted_queue();
+  net::BinaryWriter w;
+  encode_state(w, EncodeView{seed_, clock_.now(), next_seq_, paths_, speakers,
+                             queue, rib_.columns(), collector_peers_, log_});
+  return digest_bytes(w.bytes());
+}
+
+void BgpNetwork::Snapshot::encode(net::BinaryWriter& w) const {
+  const PathTable table(paths);
+  encode_state(w, EncodeView{seed, now, next_seq, table, speakers, queue,
+                             columns, collector_peers, log});
 }
 
 std::uint64_t BgpNetwork::Snapshot::digest() const {
   net::BinaryWriter w;
   encode(w);
-  // FNV-1a over the canonical bytes, finished with a full avalanche.
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint8_t byte : w.bytes()) {
-    h ^= byte;
-    h *= 1099511628211ull;
-  }
-  return net::mix64(h);
+  return digest_bytes(w.bytes());
 }
 
 }  // namespace re::bgp

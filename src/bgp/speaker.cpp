@@ -44,16 +44,12 @@ void Speaker::set_session_failed(net::Asn neighbor, const net::Prefix& prefix,
 bool Speaker::invalidate_neighbor_route(net::Asn neighbor,
                                         const net::Prefix& prefix,
                                         net::SimTime now) {
-  const auto rib_it = rib_.find(prefix);
-  if (rib_it == rib_.end()) return false;
-  PrefixState& state = rib_it->second;
-  const auto it = state.in.find(neighbor);
-  if (it == state.in.end()) return false;
-  state.in.erase(it);
+  PrefixState* state = rib_->find_for_write(index_, prefix);
+  if (state == nullptr || state->in.erase(neighbor) == 0) return false;
   if (damping_.enabled) {
-    state.damping[neighbor].record(damping_.withdraw_penalty, now, damping_);
+    state->damping[neighbor].record(damping_.withdraw_penalty, now, damping_);
   }
-  return run_decision(state, now);
+  return run_decision(*state, now);
 }
 
 void Speaker::set_session_default_route(net::Asn neighbor) {
@@ -86,8 +82,7 @@ bool Speaker::receive(net::Asn neighbor, const UpdateMessage& update,
   // Nothing crosses a failed session: late in-flight updates are lost the
   // way TCP segments on a dead session are.
   if (session_failed(neighbor, update.prefix)) return false;
-  auto& state = rib_[update.prefix];
-  state.prefix = update.prefix;
+  PrefixState& state = rib_->state_for_write(index_, update.prefix);
   // First touch of this prefix: size the Adj-RIB-In for the number of
   // neighbors that could ever advertise it (capped — hub ASes with
   // hundreds of sessions rarely hear a prefix from more than a few dozen)
@@ -154,8 +149,7 @@ bool Speaker::receive(net::Asn neighbor, const UpdateMessage& update,
 
 bool Speaker::originate(const net::Prefix& prefix, net::SimTime now,
                         OriginationOptions options) {
-  auto& state = rib_[prefix];
-  state.prefix = prefix;
+  PrefixState& state = rib_->state_for_write(index_, prefix);
   state.origination = options;
   if (!state.local) {
     state.local = true;
@@ -165,21 +159,20 @@ bool Speaker::originate(const net::Prefix& prefix, net::SimTime now,
 }
 
 bool Speaker::withdraw_origination(const net::Prefix& prefix, net::SimTime now) {
-  const auto it = rib_.find(prefix);
-  if (it == rib_.end() || !it->second.local) return false;
-  it->second.local = false;
-  return run_decision(it->second, now);
+  PrefixState* state = rib_->find_for_write(index_, prefix);
+  if (state == nullptr || !state->local) return false;
+  state->local = false;
+  return run_decision(*state, now);
 }
 
 bool Speaker::originates(const net::Prefix& prefix) const {
-  const auto it = rib_.find(prefix);
-  return it != rib_.end() && it->second.local;
+  const PrefixState* state = rib_->state(index_, prefix);
+  return state != nullptr && state->local;
 }
 
 bool Speaker::reevaluate(const net::Prefix& prefix, net::SimTime now) {
-  const auto it = rib_.find(prefix);
-  if (it == rib_.end()) return false;
-  return run_decision(it->second, now);
+  PrefixState* state = rib_->find_for_write(index_, prefix);
+  return state != nullptr && run_decision(*state, now);
 }
 
 bool Speaker::run_decision(PrefixState& state, net::SimTime now) {
@@ -223,22 +216,22 @@ bool Speaker::run_decision(PrefixState& state, net::SimTime now) {
 }
 
 const Route* Speaker::best(const net::Prefix& prefix) const {
-  const auto it = rib_.find(prefix);
-  if (it == rib_.end() || !it->second.best) return nullptr;
-  return &*it->second.best;
+  const PrefixState* state = rib_->state(index_, prefix);
+  if (state == nullptr || !state->best) return nullptr;
+  return &*state->best;
 }
 
 DecisionStep Speaker::best_decided_by(const net::Prefix& prefix) const {
-  const auto it = rib_.find(prefix);
-  return it == rib_.end() ? DecisionStep::kOnlyRoute : it->second.decided_by;
+  const PrefixState* state = rib_->state(index_, prefix);
+  return state == nullptr ? DecisionStep::kOnlyRoute : state->decided_by;
 }
 
 const Route* Speaker::best_commodity(const net::Prefix& prefix) const {
-  const auto it = rib_.find(prefix);
-  if (it == rib_.end()) return nullptr;
+  const PrefixState* state = rib_->state(index_, prefix);
+  if (state == nullptr) return nullptr;
   const Route* best = nullptr;
   std::vector<const Route*> commodity;
-  for (const auto& [neighbor, route] : it->second.in) {
+  for (const auto& [neighbor, route] : state->in) {
     if (!route.re_edge) commodity.push_back(&route);
   }
   std::sort(commodity.begin(), commodity.end(),
@@ -253,15 +246,15 @@ const Route* Speaker::best_commodity(const net::Prefix& prefix) const {
 
 std::vector<Route> Speaker::candidates(const net::Prefix& prefix) const {
   std::vector<Route> out;
-  const auto it = rib_.find(prefix);
-  if (it == rib_.end()) return out;
+  const PrefixState* state = rib_->state(index_, prefix);
+  if (state == nullptr) return out;
   // Damping state mutates lazily; expose the undamped view plus local.
-  if (it->second.local) {
-    Route local = make_local_route(prefix, it->second.local_since);
-    local.re_only = it->second.origination.re_only;
+  if (state->local) {
+    Route local = make_local_route(prefix, state->local_since);
+    local.re_only = state->origination.re_only;
     out.push_back(std::move(local));
   }
-  for (const auto& [neighbor, route] : it->second.in) out.push_back(route);
+  for (const auto& [neighbor, route] : state->in) out.push_back(route);
   std::sort(out.begin(), out.end(), [](const Route& a, const Route& b) {
     return a.learned_from < b.learned_from;
   });
@@ -269,12 +262,15 @@ std::vector<Route> Speaker::candidates(const net::Prefix& prefix) const {
 }
 
 Speaker::ExportProbe Speaker::export_probe(const net::Prefix& prefix) const {
+  return export_probe(rib_->state(index_, prefix));
+}
+
+Speaker::ExportProbe Speaker::export_probe(const PrefixState* state) const {
   ExportProbe probe;
   probe.speaker_ = this;
-  const auto it = rib_.find(prefix);
-  if (it == rib_.end() || !it->second.best) return probe;
-  probe.state_ = &it->second;
-  const Route& best = *it->second.best;
+  if (state == nullptr || !state->best) return probe;
+  probe.state_ = state;
+  const Route& best = *state->best;
   probe.learned_on_ =
       best.learned_from.valid() ? session_to(best.learned_from) : nullptr;
   probe.valid_ = !best.learned_from.valid() || probe.learned_on_ != nullptr;
@@ -340,7 +336,7 @@ std::optional<UpdateMessage> Speaker::export_to(const Session& to,
 }
 
 void Speaker::clear_prefix(const net::Prefix& prefix) {
-  rib_.erase(prefix);
+  rib_->erase(index_, prefix);
   for (auto it = failed_.begin(); it != failed_.end();) {
     it->second.erase(prefix);
     it = it->second.empty() ? failed_.erase(it) : std::next(it);
@@ -349,8 +345,12 @@ void Speaker::clear_prefix(const net::Prefix& prefix) {
 
 std::vector<net::Prefix> Speaker::known_prefixes() const {
   std::vector<net::Prefix> out;
-  out.reserve(rib_.size());
-  for (const auto& [prefix, state] : rib_) out.push_back(prefix);
+  for (std::uint32_t slot = 0; slot < rib_->size(); ++slot) {
+    const PrefixColumn* column = rib_->column(slot);
+    if (column != nullptr && column->state(index_) != nullptr) {
+      out.push_back(column->prefix);
+    }
+  }
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -369,7 +369,6 @@ Speaker::Snapshot Speaker::snapshot() const {
   snap.rov_table = rov_table_;
   snap.sessions = sessions_;
   snap.session_index = session_index_;
-  snap.rib = rib_;
   snap.failed = failed_;
   return snap;
 }
@@ -385,7 +384,6 @@ void Speaker::restore(const Snapshot& snap) {
   rov_table_ = snap.rov_table;
   sessions_ = snap.sessions;
   session_index_ = snap.session_index;
-  rib_ = snap.rib;
   failed_ = snap.failed;
   candidate_scratch_.clear();
 }
@@ -559,19 +557,10 @@ DampingConfig decode_damping_config(net::BinaryReader& r) {
   return config;
 }
 
-template <typename Map>
-std::vector<typename Map::value_type const*> sorted_by_key(const Map& map) {
-  std::vector<typename Map::value_type const*> out;
-  out.reserve(map.size());
-  for (const auto& kv : map) out.push_back(&kv);
-  std::sort(out.begin(), out.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  return out;
-}
-
 }  // namespace
 
-void Speaker::Snapshot::encode(net::BinaryWriter& w) const {
+void Speaker::Snapshot::encode(net::BinaryWriter& w,
+                               std::span<const PrefixState* const> rib) const {
   encode_asn(w, asn);
   w.boolean(decision.use_as_path_length);
   w.boolean(decision.use_med);
@@ -588,11 +577,11 @@ void Speaker::Snapshot::encode(net::BinaryWriter& w) const {
   // session_index is derived (neighbor -> position); decode rebuilds it.
 
   w.u64(rib.size());
-  for (const auto* kv : sorted_by_key(rib)) {
-    const PrefixState& state = kv->second;
+  for (const PrefixState* entry : rib) {
+    const PrefixState& state = *entry;
     encode_prefix(w, state.prefix);
     w.u64(state.in.size());
-    for (const auto* route_kv : sorted_by_key(state.in)) {
+    for (const auto* route_kv : net::sorted_by_key(state.in)) {
       encode_asn(w, route_kv->first);
       encode_route(w, route_kv->second);
     }
@@ -605,7 +594,7 @@ void Speaker::Snapshot::encode(net::BinaryWriter& w) const {
     if (state.best.has_value()) encode_route(w, *state.best);
     w.u8(static_cast<std::uint8_t>(state.decided_by));
     w.u64(state.damping.size());
-    for (const auto* damp_kv : sorted_by_key(state.damping)) {
+    for (const auto* damp_kv : net::sorted_by_key(state.damping)) {
       encode_asn(w, damp_kv->first);
       const DampingState::Raw raw = damp_kv->second.raw();
       w.f64(raw.penalty);
@@ -616,7 +605,7 @@ void Speaker::Snapshot::encode(net::BinaryWriter& w) const {
   }
 
   w.u64(failed.size());
-  for (const auto* kv : sorted_by_key(failed)) {
+  for (const auto* kv : net::sorted_by_key(failed)) {
     encode_asn(w, kv->first);
     std::vector<net::Prefix> sorted;
     sorted.reserve(kv->second.size());
@@ -627,7 +616,8 @@ void Speaker::Snapshot::encode(net::BinaryWriter& w) const {
   }
 }
 
-Speaker::Snapshot Speaker::Snapshot::decode(net::BinaryReader& r) {
+Speaker::Snapshot Speaker::Snapshot::decode(net::BinaryReader& r,
+                                            std::vector<PrefixState>& rib) {
   Snapshot snap;
   snap.asn = decode_asn(r);
   snap.decision.use_as_path_length = r.boolean();
@@ -649,10 +639,9 @@ Speaker::Snapshot Speaker::Snapshot::decode(net::BinaryReader& r) {
   }
 
   const std::uint64_t rib_count = r.length(1u << 26);
-  for (std::uint64_t i = 0; i < rib_count; ++i) {
-    const net::Prefix prefix = decode_prefix(r);
-    PrefixState& state = snap.rib[prefix];
-    state.prefix = prefix;
+  for (std::uint64_t i = 0; i < rib_count && !r.failed(); ++i) {
+    PrefixState& state = rib.emplace_back();
+    state.prefix = decode_prefix(r);
     const std::uint64_t in_count = r.length(1u << 26);
     for (std::uint64_t j = 0; j < in_count; ++j) {
       const net::Asn neighbor = decode_asn(r);
@@ -712,12 +701,12 @@ void Speaker::encode_prefix_state(const net::Prefix& prefix,
     w.boolean(route.re_only);
   };
 
-  const auto it = rib_.find(prefix);
-  w.boolean(it != rib_.end());
-  if (it != rib_.end()) {
-    const PrefixState& state = it->second;
+  const PrefixState* found = rib_->state(index_, prefix);
+  w.boolean(found != nullptr);
+  if (found != nullptr) {
+    const PrefixState& state = *found;
     w.u64(state.in.size());
-    for (const auto* kv : sorted_by_key(state.in)) {
+    for (const auto* kv : net::sorted_by_key(state.in)) {
       encode_asn(w, kv->first);
       content_route(kv->second);
     }
@@ -730,7 +719,7 @@ void Speaker::encode_prefix_state(const net::Prefix& prefix,
     if (state.best.has_value()) content_route(*state.best);
     w.u8(static_cast<std::uint8_t>(state.decided_by));
     w.u64(state.damping.size());
-    for (const auto* kv : sorted_by_key(state.damping)) {
+    for (const auto* kv : net::sorted_by_key(state.damping)) {
       encode_asn(w, kv->first);
       const DampingState::Raw raw = kv->second.raw();
       w.f64(raw.penalty);

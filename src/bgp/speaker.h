@@ -1,4 +1,4 @@
-// A per-AS BGP speaker: sessions, Adj-RIB-In, Loc-RIB, import/export.
+// A per-AS BGP speaker: sessions, policies, import/export, decision.
 //
 // The model is AS-level: one speaker per AS, one route per (prefix,
 // neighbor), full RFC 4271 decision process over the candidates. This is
@@ -6,15 +6,21 @@
 // than per-session; the dataplane module layers the interconnect-router
 // confound on top).
 //
-// AS paths are hash-consed: routes and update messages carry PathIds into
-// the PathTable shared across the owning network (see path_table.h), and
-// the RIB maps are open-addressing FlatMaps, so the receive → decide →
-// export loop runs without heap allocation in the steady state.
+// A speaker keeps its sessions, policies and per-session failure state.
+// Its RIB (Adj-RIB-In, Loc-RIB, origination and damping state per prefix)
+// lives in the owning network's prefix-major RibStore (see rib_store.h),
+// reached through the speaker's dense index; a standalone speaker (tests,
+// micro-benches) owns a private store. AS paths are hash-consed: routes
+// and update messages carry PathIds into the PathTable shared across the
+// owning network (see path_table.h), and the RIB maps are open-addressing
+// FlatMaps, so the receive → decide → export loop runs without heap
+// allocation in the steady state.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +29,7 @@
 #include "bgp/decision.h"
 #include "bgp/path_table.h"
 #include "bgp/policy.h"
+#include "bgp/rib_store.h"
 #include "bgp/route.h"
 #include "bgp/rpki.h"
 #include "netbase/asn.h"
@@ -37,30 +44,28 @@ class BinaryReader;
 
 namespace re::bgp {
 
-// Per-prefix options controlling how the *origin* announces it.
-struct OriginationOptions {
-  bool to_re_sessions = true;
-  bool to_commodity_sessions = true;
-  // Announcement carries the R&E-fabric-only scope (see Route::re_only).
-  bool re_only = false;
-};
-
 class Speaker {
-  struct PrefixState;  // defined below; ExportProbe holds a pointer
-
  public:
-  // `paths` is the table update-message/route path ids refer to — one per
-  // network, injected by BgpNetwork::add_speaker. A standalone speaker
-  // (tests, micro-benches) passes nullptr and owns a private table.
-  explicit Speaker(net::Asn asn, PathTable* paths = nullptr)
-      : asn_(asn), paths_(paths) {
+  // `paths` is the table update-message/route path ids refer to and `rib`
+  // the store holding this speaker's per-prefix state under `index` — one
+  // of each per network, injected by BgpNetwork::add_speaker. A standalone
+  // speaker (tests, micro-benches) passes nullptr and owns private ones.
+  explicit Speaker(net::Asn asn, PathTable* paths = nullptr,
+                   RibStore* rib = nullptr, std::uint32_t index = 0)
+      : asn_(asn), paths_(paths), rib_(rib), index_(index) {
     if (paths_ == nullptr) {
       owned_paths_ = std::make_unique<PathTable>();
       paths_ = owned_paths_.get();
     }
+    if (rib_ == nullptr) {
+      owned_rib_ = std::make_unique<RibStore>();
+      rib_ = owned_rib_.get();
+    }
   }
 
   net::Asn asn() const noexcept { return asn_; }
+  // This speaker's key in its store's prefix columns.
+  std::uint32_t index() const noexcept { return index_; }
 
   PathTable& paths() noexcept { return *paths_; }
   const PathTable& paths() const noexcept { return *paths_; }
@@ -97,9 +102,10 @@ class Speaker {
   // --- Sessions ---------------------------------------------------------
   void add_session(Session session);
   const std::vector<Session>& sessions() const noexcept { return sessions_; }
+  // Stat-free lookup: probe workers resolve sessions concurrently.
   const Session* session_to(net::Asn neighbor) const {
-    const auto it = session_index_.find(neighbor);
-    return it == session_index_.end() ? nullptr : &sessions_[it->second];
+    const std::size_t* idx = session_index_.find_concurrent(neighbor);
+    return idx == nullptr ? nullptr : &sessions_[*idx];
   }
 
   // Failure state of the session to `neighbor`, scoped to `prefix` (the
@@ -190,20 +196,21 @@ class Speaker {
     mutable PathId cached_path_;
   };
   ExportProbe export_probe(const net::Prefix& prefix) const;
+  // The same view over a state the caller already resolved (the network
+  // holds the prefix's column while it flushes).
+  ExportProbe export_probe(const PrefixState* state) const;
 
   // --- Checkpoint/fork ------------------------------------------------------
 
-  // The speaker's full mutable state (configs, sessions, Adj-RIB-In /
-  // Loc-RIB, failure and damping state), with AS paths still held as
-  // PathIds into the owning network's table. A snapshot is only
-  // meaningful alongside the table state it was taken against —
-  // BgpNetwork::Snapshot pairs the two.
+  // The speaker's own mutable state: configs, sessions and failure state.
+  // Its RIB is not part of it: that lives in the network's prefix
+  // columns, which BgpNetwork::Snapshot shares instead of copying.
   struct Snapshot;
   Snapshot snapshot() const;
   void restore(const Snapshot& snap);
 
   // Canonical *content* encoding of this speaker's state for one prefix:
-  // like Snapshot::encode restricted to the prefix, but AS paths are
+  // like the disk codec restricted to the prefix, but AS paths are
   // written as their ASN contents instead of PathIds. PathId intern order
   // legitimately differs between a full run and a prefix-scoped run that
   // deferred other prefixes' churn (cross-prefix interleaving differs),
@@ -213,22 +220,14 @@ class Speaker {
                            net::BinaryWriter& w) const;
 
   // --- Maintenance ----------------------------------------------------------
+
+  // Drops this speaker's state for `prefix` and every session failure
+  // scoped to it.
   void clear_prefix(const net::Prefix& prefix);
+  // Prefixes this speaker holds state for, sorted.
   std::vector<net::Prefix> known_prefixes() const;
 
  private:
-  struct PrefixState {
-    net::Prefix prefix;
-    // One entry per neighbor that currently advertises the prefix to us.
-    net::FlatMap<net::Asn, Route> in;
-    bool local = false;
-    OriginationOptions origination;
-    net::SimTime local_since = 0;
-    std::optional<Route> best;
-    DecisionStep decided_by = DecisionStep::kOnlyRoute;
-    net::FlatMap<net::Asn, DampingState> damping;
-  };
-
   // Recomputes `state.best`; returns true on change.
   bool run_decision(PrefixState& state, net::SimTime now);
 
@@ -237,6 +236,9 @@ class Speaker {
   net::Asn asn_;
   PathTable* paths_ = nullptr;
   std::unique_ptr<PathTable> owned_paths_;  // standalone speakers only
+  RibStore* rib_ = nullptr;
+  std::unique_ptr<RibStore> owned_rib_;  // standalone speakers only
+  std::uint32_t index_ = 0;
   DecisionConfig decision_;
   ImportPolicy import_;
   ExportPolicy export_;
@@ -247,7 +249,6 @@ class Speaker {
 
   std::vector<Session> sessions_;
   net::FlatMap<net::Asn, std::size_t> session_index_;
-  net::FlatMap<net::Prefix, PrefixState> rib_;
   // (neighbor, prefix) pairs whose session is currently failed.
   net::FlatMap<net::Asn, net::FlatSet<net::Prefix>> failed_;
   // Scratch candidate buffer reused across decisions (capacity persists,
@@ -255,10 +256,10 @@ class Speaker {
   mutable std::vector<Route> candidate_scratch_;
 };
 
-// Plain-data copy of everything a speaker mutates after construction.
-// In-memory forks restore it directly (FlatMap copies preserve layout);
-// the disk codec re-inserts in sorted key order, which yields a
-// behaviorally identical (lookup-equivalent) table.
+// Plain-data copy of everything a speaker mutates after construction,
+// except its RIB. In-memory forks restore it directly (FlatMap copies
+// preserve layout); the disk codec re-inserts in sorted key order, which
+// yields a behaviorally identical (lookup-equivalent) table.
 struct Speaker::Snapshot {
   net::Asn asn;
   DecisionConfig decision;
@@ -273,11 +274,16 @@ struct Speaker::Snapshot {
   const RoaTable* rov_table = nullptr;
   std::vector<Session> sessions;
   net::FlatMap<net::Asn, std::size_t> session_index;
-  net::FlatMap<net::Prefix, PrefixState> rib;
   net::FlatMap<net::Asn, net::FlatSet<net::Prefix>> failed;
 
-  void encode(net::BinaryWriter& writer) const;
-  static Snapshot decode(net::BinaryReader& reader);
+  // The speaker's record in the canonical network encoding. Its RIB sits
+  // between the sessions and the failure state: encode writes `rib` (the
+  // speaker's states, sorted by prefix) there, and decode appends what it
+  // reads there to `rib`.
+  void encode(net::BinaryWriter& writer,
+              std::span<const PrefixState* const> rib) const;
+  static Snapshot decode(net::BinaryReader& reader,
+                         std::vector<PrefixState>& rib);
 };
 
 }  // namespace re::bgp

@@ -218,6 +218,21 @@ ScenarioResult run_scenario(const Scenario& scenario,
   }
 
   std::array<std::optional<bgp::BgpNetwork::Snapshot>, 4> slots;
+  // Each slot's digest when it was taken. Snapshots share prefix columns
+  // copy-on-write with the network and its forks, so a write that reaches
+  // a shared column instead of cloning it shows up as a changed digest.
+  std::array<std::uint64_t, 4> slot_digests{};
+  const auto check_slots = [&]() -> std::optional<Violation> {
+    for (std::size_t s = 0; s < slots.size(); ++s) {
+      ++executor_checks;
+      if (slots[s] && slots[s]->digest() != slot_digests[s]) {
+        return make_violation("snapshot-mutated",
+                              "checkpoint slot " + std::to_string(s) +
+                                  " changed after it was taken");
+      }
+    }
+    return std::nullopt;
+  };
   std::map<Prefix, FibCache> fibs;
 
   // Persistent per-prefix FIBs: reusing them across ops (and across
@@ -341,11 +356,15 @@ ScenarioResult run_scenario(const Scenario& scenario,
         ran = true;
         network.run_until(network.clock().now() + 1 + op.a % 37);
         break;
-      case OpKind::kCheckpoint:
-        slots[op.c % slots.size()] = network.checkpoint();
+      case OpKind::kCheckpoint: {
+        const std::size_t s = op.c % slots.size();
+        slots[s] = network.checkpoint();
+        slot_digests[s] = slots[s]->digest();
         break;
+      }
       case OpKind::kRestoreSnapshot:
-        if (const auto& slot = slots[op.c % slots.size()]) {
+        violation = check_slots();
+        if (const auto& slot = slots[op.c % slots.size()]; slot && !violation) {
           network.restore(*slot);
         }
         break;
@@ -372,6 +391,10 @@ ScenarioResult run_scenario(const Scenario& scenario,
     result.ops_executed = i + 1;
   }
   network.set_round_observer({});
+  // Slots are only filled by ops, so a late violation has a last op.
+  if (!violation && (violation = check_slots())) {
+    violation->op_index = scenario.ops.size() - 1;
+  }
 
   result.invariant_checks = suite.checks_run() + executor_checks;
   if (violation) {

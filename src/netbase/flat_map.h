@@ -399,4 +399,16 @@ class FlatSet {
   Map map_;
 };
 
+// The map's entries ordered by key: iteration order is unspecified, so
+// every canonical encoder walks maps through this.
+template <typename Map>
+std::vector<typename Map::value_type const*> sorted_by_key(const Map& map) {
+  std::vector<typename Map::value_type const*> out;
+  out.reserve(map.size());
+  for (const auto& kv : map) out.push_back(&kv);
+  std::sort(out.begin(), out.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return out;
+}
+
 }  // namespace re::net

@@ -18,8 +18,10 @@ struct PerfCounters {
   std::uint64_t messages_delivered = 0;
   std::uint64_t interned_paths = 0;  // distinct AS paths in the PathTable
   std::uint64_t arena_bytes = 0;     // bytes backing the interned paths
-  std::uint64_t map_lookups = 0;     // FlatMap find/insert operations
-  std::uint64_t map_probes = 0;      // total probe steps across lookups
+  // FlatMap find/insert operations on the network-level maps (speaker
+  // index, prefix-slot index, collector peers) and their probe steps.
+  std::uint64_t map_lookups = 0;
+  std::uint64_t map_probes = 0;
   double wall_seconds = 0.0;
 
   std::uint64_t rounds = 0;  // simulated-time ticks processed

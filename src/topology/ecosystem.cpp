@@ -594,18 +594,8 @@ std::vector<const PrefixRecord*> Ecosystem::prefixes_of(net::Asn origin) const {
 }
 
 void Ecosystem::build_network(bgp::BgpNetwork& network) const {
-  // Pre-size the network-level hot maps from the known cardinalities so
-  // the first convergence wave never pays rehash churn. The link count
-  // estimate mirrors the link construction below: tier-1 mesh +
-  // per-AS provider/peer lists + the sparse transit mesh.
-  std::size_t links = tier1s_.size() * (tier1s_.size() - 1) / 2;
-  for (const net::Asn asn : directory_.all()) {
-    const AsRecord* r = directory_.find(asn);
-    links += r->re_providers.size() + r->commodity_providers.size() +
-             r->re_peers.size();
-  }
-  links += transits_.size() / 3;
-  network.reserve_topology(directory_.size(), links);
+  // Pre-size the speaker index so building the topology never rehashes.
+  network.reserve_topology(directory_.size());
 
   // Speakers first, in deterministic order.
   for (const net::Asn asn : directory_.all()) network.add_speaker(asn);

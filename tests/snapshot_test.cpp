@@ -123,22 +123,67 @@ TEST_F(SnapshotFixture, TruncatedSnapshotFailsDecodeLoudly) {
 }
 
 TEST_F(SnapshotFixture, ConcurrentForksAreIndependentAndIdentical) {
-  // Fork one snapshot from several threads at once (the TSan target for
-  // the shared frozen path arena), then advance each fork independently
-  // and check they all reach the same state.
+  // Fork one snapshot from several threads at once, and have every fork
+  // rewrite the same shared prefix column (the TSan target for the shared
+  // frozen path arena and the copy-on-write columns). Each fork clones
+  // the column it writes: all reach the same state, and the snapshot
+  // they share does not change.
   auto base = controller(base_config()).checkpoint_baseline();
+  const std::uint64_t before = base.network.digest();
+  const topo::MeasurementEndpoints& m = world().ecosystem.measurement();
   constexpr int kForks = 4;
   std::uint64_t digests[kForks] = {};
   std::vector<std::thread> threads;
   for (int i = 0; i < kForks; ++i) {
     threads.emplace_back([&, i] {
       auto network = base.network.fork();
+      network->set_origin_prepend(m.internet2_re_origin, m.prefix, 2);
       network->run_to_convergence();
       digests[i] = network->state_digest();
     });
   }
   for (std::thread& t : threads) t.join();
   for (int i = 1; i < kForks; ++i) EXPECT_EQ(digests[i], digests[0]) << i;
+  EXPECT_NE(digests[0], before);  // the forks really wrote the column
+  EXPECT_EQ(base.network.digest(), before);
+}
+
+TEST_F(SnapshotFixture, CopyOnWriteSourceWritesLeaveSnapshotIntact) {
+  // The network a checkpoint was taken from keeps sharing its columns
+  // with the snapshot: its next write to a column must clone it, never
+  // reach the snapshot or a fork taken before or after the write.
+  const auto base = controller(base_config()).checkpoint_baseline();
+  const auto source = base.network.fork();
+  const bgp::NetworkSnapshot snap = source->checkpoint();
+  const std::uint64_t taken = snap.digest();
+  const auto fork_before = snap.fork();
+
+  const topo::MeasurementEndpoints& m = world().ecosystem.measurement();
+  source->set_origin_prepend(m.internet2_re_origin, m.prefix, 3);
+  source->run_to_convergence();
+  ASSERT_NE(source->state_digest(), taken);
+
+  EXPECT_EQ(snap.digest(), taken);
+  const auto fork_after = snap.fork();
+  EXPECT_EQ(fork_after->state_digest(), fork_before->state_digest());
+  EXPECT_EQ(fork_after->state_digest(), taken);
+}
+
+TEST_F(SnapshotFixture, StateDigestTakesNoCheckpoint) {
+  // state_digest() reads the live state: it neither counts as a
+  // checkpoint nor shares the columns (which would make the next write
+  // clone them), and it equals the digest a checkpoint would carry.
+  const auto base = controller(base_config()).checkpoint_baseline();
+  const auto network = base.network.fork();
+  const topo::MeasurementEndpoints& m = world().ecosystem.measurement();
+  network->set_origin_prepend(m.internet2_re_origin, m.prefix, 1);
+  network->run_to_convergence();
+
+  const std::uint64_t first = network->state_digest();
+  EXPECT_EQ(network->state_digest(), first);
+  EXPECT_EQ(network->run_to_convergence().perf.checkpoints, 0u);
+  EXPECT_EQ(network->checkpoint().digest(), first);
+  EXPECT_EQ(network->run_to_convergence().perf.checkpoints, 1u);
 }
 
 // ------------------------------------------------------- fork vs fresh
