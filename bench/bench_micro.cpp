@@ -10,10 +10,10 @@
 #include "bgp/network.h"
 #include "bgp/rpki.h"
 #include "check/invariants.h"
+#include "check/return_path.h"
 #include "check/scenario.h"
 #include "core/classifier.h"
 #include "dataplane/fib.h"
-#include "dataplane/return_path.h"
 #include "io/results_io.h"
 #include "netbase/prefix_trie.h"
 #include "netbase/rng.h"
@@ -145,7 +145,7 @@ void BM_ReturnPathResolution(benchmark::State& state) {
   re_only.re_only = true;
   network.announce(eco.internet2(), meas, re_only);
   network.run_to_convergence();
-  dataplane::ReturnPathResolver resolver(
+  check::ReturnPathResolver resolver(
       network, meas,
       {eco.measurement().commodity_origin, eco.internet2()});
   std::size_t i = 0;

@@ -16,8 +16,9 @@
 //   * probe_resolve_legacy / probe_resolve_fib — the probing-phase
 //     return-path resolution of the §3.3 rounds: nine prepend rounds,
 //     every AS resolved RE_PROP_PROBE_REPS times per round (the
-//     three-addresses-per-prefix shape), once through the legacy
-//     AS-by-AS walker and once through the compiled catchment FIB
+//     three-addresses-per-prefix shape), once through the reference
+//     AS-by-AS walker (check/return_path.h) and once through the
+//     compiled catchment FIB
 //     (dataplane/fib.h). Classification digests must match bit for bit
 //     (exit 1 otherwise); the wall-clock ratio is the headline FIB
 //     speedup, and the [fib] counter lines are what the CI smoke greps.
@@ -45,8 +46,8 @@
 
 #include "bench/timing.h"
 #include "bgp/network.h"
+#include "check/return_path.h"
 #include "dataplane/fib.h"
-#include "dataplane/return_path.h"
 #include "runtime/env.h"
 #include "runtime/perf_counters.h"
 #include "runtime/rng_streams.h"
@@ -365,7 +366,8 @@ int main() {
   // The §3.3 probing shape: nine prepend rounds over a two-origin
   // measurement prefix; after each round every AS's return path is
   // resolved RE_PROP_PROBE_REPS times (one per probed address). The
-  // legacy pass walks the RIBs AS-by-AS per query; the FIB pass compiles
+  // legacy pass runs the reference walker in src/check, which walks the
+  // RIBs AS-by-AS per query; the FIB pass compiles
   // one catchment table per round and answers each query in O(1).
   {
     const std::size_t probe_reps = env_size("RE_PROP_PROBE_REPS", 3);
@@ -394,8 +396,8 @@ int main() {
 
     const std::vector<net::Asn> sources = eco.directory().all();
     const std::vector<net::Asn> terminals{meas->origin, second->origin};
-    dataplane::ReturnPathResolver legacy_resolver(network, meas->prefix,
-                                                  terminals);
+    check::ReturnPathResolver legacy_resolver(network, meas->prefix,
+                                              terminals);
     dataplane::CatchmentFib fib(network, meas->prefix, terminals);
 
     auto fold = [](std::uint64_t h, bool reachable, net::Asn terminal,

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <map>
 
-#include "dataplane/return_path.h"
+#include "dataplane/fib.h"
 #include "probing/tracer.h"
 #include "topology/ecosystem.h"
 
@@ -34,19 +34,20 @@ int main() {
   network.announce(site_b, anycast);
   network.run_to_convergence();
 
-  dataplane::ReturnPathResolver resolver(network, anycast, {site_a, site_b});
+  dataplane::CatchmentFib fib(network, anycast, {site_a, site_b});
+  fib.refresh();
 
   std::size_t to_a = 0, to_b = 0, unreachable = 0;
   std::map<std::string, std::pair<std::size_t, std::size_t>> by_country;
   for (const net::Asn member : eco.members()) {
-    const dataplane::ReturnPath path = resolver.resolve(member);
-    if (!path.reachable) {
+    const dataplane::CatchmentFib::Attribution attr = fib.attribution(member);
+    if (!attr.reachable) {
       ++unreachable;
       continue;
     }
     const topo::AsRecord* r = eco.directory().find(member);
     auto& cell = by_country[r->country];
-    if (path.terminal == site_a) {
+    if (attr.terminal == site_a) {
       ++to_a;
       ++cell.first;
     } else {

@@ -9,7 +9,7 @@
 // via commodity (§4.2).
 #include <cstdio>
 
-#include "dataplane/return_path.h"
+#include "dataplane/fib.h"
 #include "topology/ecosystem.h"
 
 int main() {
@@ -27,19 +27,20 @@ int main() {
   network.announce(eco.measurement().commodity_origin, probe);
   network.run_to_convergence();
 
-  dataplane::ReturnPathResolver resolver(
-      network, probe, {eco.measurement().commodity_origin});
+  dataplane::CatchmentFib fib(network, probe,
+                              {eco.measurement().commodity_origin});
+  fib.refresh();
 
   std::size_t no_route = 0, via_rib = 0, via_default = 0;
   std::size_t detected_true = 0, planted = 0, missed = 0;
   for (const net::Asn member : eco.members()) {
     const topo::AsRecord* r = eco.directory().find(member);
     planted += r->traits.default_route_commodity ? 1 : 0;
-    const dataplane::ReturnPath path = resolver.resolve(member);
-    if (!path.reachable) {
+    const dataplane::CatchmentFib::Attribution attr = fib.attribution(member);
+    if (!attr.reachable) {
       ++no_route;
       missed += r->traits.default_route_commodity ? 1 : 0;
-    } else if (path.used_default_route) {
+    } else if (attr.used_default_route) {
       ++via_default;
       detected_true += r->traits.default_route_commodity ? 1 : 0;
     } else {

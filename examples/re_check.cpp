@@ -12,7 +12,7 @@
 //
 // usage: re_check [--seeds A..B | --seeds N] [--ops N] [--check-every N]
 //                 [--shrink] [--trace-out FILE] [--replay FILE]
-//                 [--trace FILE]
+//                 [--trace FILE] [--mutant med-flip]
 //
 // --trace FILE (or RE_TRACE=FILE; the flag wins) writes a Chrome
 // trace-event JSON of the fuzzing run's spans (convergence rounds,
@@ -29,9 +29,11 @@
 //
 // RE_CHECK_SECONDS caps the fuzzing budget: the seed loop stops cleanly
 // once the budget is spent (exit 0 — budget expiry is not a failure).
-// RE_CHECK_SEEDED_FAULT=1 flips the MED tie-break direction inside the
-// production decision process; CI runs re_check under it to prove the
-// harness detects a real planted bug (mutation-testing smoke).
+// --mutant med-flip plants a MED tie-break direction flip: it sets
+// DecisionConfig::mutant_med_flip on every speaker of each seed's world
+// and on the decision-conformance table's production calls. CI runs
+// re_check with it to prove the harness detects a real planted bug
+// (mutation-testing smoke), and replays the same trace without it clean.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -58,6 +60,7 @@ struct Options {
   // defaults to re_check_violation.trace, a replay to nothing.
   std::string trace_out;
   std::string replay_path;
+  bool med_flip_mutant = false;
   // Chrome-trace telemetry (RE_TRACE is strict: set-but-blank aborts).
   std::string span_trace_path = runtime::env_string("RE_TRACE", "");
 };
@@ -67,7 +70,7 @@ void usage_and_exit() {
                "usage: re_check [--seeds A..B | --seeds N] [--ops N]\n"
                "                [--check-every N] [--shrink]\n"
                "                [--trace-out FILE] [--replay FILE]\n"
-               "                [--trace FILE]\n");
+               "                [--trace FILE] [--mutant med-flip]\n");
   std::exit(2);
 }
 
@@ -113,6 +116,9 @@ Options parse_options(int argc, char** argv) {
       options.replay_path = argv[++i];
     } else if (has_value("--trace")) {
       options.span_trace_path = argv[++i];
+    } else if (has_value("--mutant")) {
+      if (std::strcmp(argv[++i], "med-flip") != 0) usage_and_exit();
+      options.med_flip_mutant = true;
     } else {
       std::fprintf(stderr, "unknown option: %s\n", argv[i]);
       usage_and_exit();
@@ -177,6 +183,7 @@ int main(int argc, char** argv) {
   obs::TraceSession span_trace(options.span_trace_path);
   check::CheckOptions check_options;
   check_options.check_every_rounds = options.check_every;
+  check_options.med_flip_mutant = options.med_flip_mutant;
 
   if (!options.replay_path.empty()) {
     const auto scenario = io::load_trace(options.replay_path);

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "bgp/rpki.h"
-#include "dataplane/return_path.h"
+#include "dataplane/fib.h"
 #include "topology/ecosystem.h"
 
 int main() {
@@ -50,13 +50,15 @@ int main() {
   network.announce(origin, invalid);
   network.run_to_convergence();
 
-  dataplane::ReturnPathResolver valid_resolver(network, valid, {origin});
-  dataplane::ReturnPathResolver invalid_resolver(network, invalid, {origin});
+  dataplane::CatchmentFib valid_fib(network, valid, {origin});
+  dataplane::CatchmentFib invalid_fib(network, invalid, {origin});
+  valid_fib.refresh();
+  invalid_fib.refresh();
 
   std::size_t both = 0, protected_vps = 0, neither = 0;
   for (const net::Asn member : eco.members()) {
-    const bool valid_ok = valid_resolver.resolve(member).reachable;
-    const bool invalid_ok = invalid_resolver.resolve(member).reachable;
+    const bool valid_ok = valid_fib.attribution(member).reachable;
+    const bool invalid_ok = invalid_fib.attribution(member).reachable;
     if (valid_ok && invalid_ok) {
       ++both;
     } else if (valid_ok && !invalid_ok) {

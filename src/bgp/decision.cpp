@@ -1,15 +1,7 @@
 #include "bgp/decision.h"
 
-#include "runtime/env.h"
-
 namespace re::bgp {
 namespace {
-
-// Mutation-testing hook for the re_check harness: RE_CHECK_SEEDED_FAULT=1
-// flips the MED comparison direction (prefer *higher* MED), a classic
-// single-tie-break bug the invariant suite must catch. Read once at static
-// init so the hot path pays a branch on a constant, never a getenv.
-const bool kSeededMedFault = runtime::env_flag("RE_CHECK_SEEDED_FAULT", false);
 
 // Three-way step comparison: <0 means a wins, >0 means b wins, 0 undecided.
 int compare_step(const Route& a, const Route& b, const DecisionConfig& config,
@@ -34,7 +26,9 @@ int compare_step(const Route& a, const Route& b, const DecisionConfig& config,
       // neighbor AS (the first AS in the received path).
       if (!config.use_med) return 0;
       if (a.path_first != b.path_first) return 0;
-      if (a.med != b.med) return (a.med < b.med) != kSeededMedFault ? -1 : 1;
+      if (a.med != b.med) {
+        return (a.med < b.med) != config.mutant_med_flip ? -1 : 1;
+      }
       return 0;
     case DecisionStep::kEbgp:
       if (a.ebgp != b.ebgp) return a.ebgp ? -1 : 1;

@@ -31,6 +31,12 @@ struct DecisionConfig {
   // behaviour); the few that enable it produce the paper's case-J
   // signature of switching at configuration 0-1.
   bool use_route_age = false;
+
+  // Planted fault for mutation testing: prefer the *higher* MED, a
+  // single tie-break direction bug the re_check invariant suite must
+  // catch. Only src/check sets it (`re_check --mutant med-flip`); it is
+  // never encoded into a snapshot or a digest.
+  bool mutant_med_flip = false;
 };
 
 // Which decision step selected the best route — exposed so analyses and

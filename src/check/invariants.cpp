@@ -6,7 +6,7 @@
 #include "bgp/policy.h"
 #include "bgp/speaker.h"
 #include "check/reference_decision.h"
-#include "dataplane/return_path.h"
+#include "check/return_path.h"
 #include "netbase/binio.h"
 
 namespace re::check {
@@ -54,10 +54,12 @@ bool same_route(const Route& a, const Route& b) {
 
 }  // namespace
 
-std::optional<Violation> InvariantSuite::decision_conformance() {
+std::optional<Violation> InvariantSuite::decision_conformance(
+    bool med_flip_mutant) {
   ++checks_run_;
   bgp::PathTable table;
-  for (const AdversarialPair& pair : adversarial_pairs(table)) {
+  for (AdversarialPair& pair : adversarial_pairs(table)) {
+    pair.config.mutant_med_flip = med_flip_mutant;
     const Route candidates[2] = {pair.preferred, pair.other};
     const Route reversed[2] = {pair.other, pair.preferred};
     // Both argument orders through the production comparator...
@@ -268,9 +270,9 @@ std::optional<Violation> InvariantSuite::fib_agreement(
     std::span<const net::Asn> terminals, dataplane::CatchmentFib& fib) {
   ++checks_run_;
   fib.refresh();
-  const dataplane::ReturnPathResolver walker(network, prefix, terminals);
-  dataplane::ReturnPath from_walker;
-  dataplane::ReturnPath from_fib;
+  const ReturnPathResolver walker(network, prefix, terminals);
+  ReturnPath from_walker;
+  ReturnPath from_fib;
   for (const net::Asn asn : network.asns()) {
     walker.resolve(asn, from_walker);
     fib.resolve(asn, from_fib);
@@ -281,7 +283,7 @@ std::optional<Violation> InvariantSuite::fib_agreement(
           from_walker.hops != from_fib.hops))) {
       return make("fib-agreement",
                   asn.to_string() + " prefix " + prefix.to_string() +
-                      ": compiled FIB disagrees with the legacy walker");
+                      ": compiled FIB disagrees with the reference walker");
     }
     const auto attr = fib.attribution(asn);
     if (attr.reachable != from_fib.reachable ||

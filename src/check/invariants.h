@@ -42,7 +42,10 @@ class InvariantSuite {
   // right decided_by attribution. Catches direction flips that no RIB
   // state in a simulated world would exercise (e.g. MED, zeroed on
   // re-export). Network-independent; run once per scenario.
-  std::optional<Violation> decision_conformance();
+  // `med_flip_mutant` sets DecisionConfig::mutant_med_flip on every
+  // pair's production calls (the reference never reads it), so the table
+  // must then report `med-lower-wins`.
+  std::optional<Violation> decision_conformance(bool med_flip_mutant = false);
 
   // No AS appears twice in any Adj-RIB-In path (after collapsing prepend
   // runs), and no speaker holds a path containing itself.
@@ -72,10 +75,11 @@ class InvariantSuite {
   // and a fork of the decoded snapshot must re-digest to the same value.
   std::optional<Violation> snapshot_roundtrip(bgp::BgpNetwork& network);
 
-  // Compiled FIB vs legacy walker: identical (reachable, terminal,
-  // used_default_route, hops) for every AS. `fib` is the caller's cached
-  // instance (exercising epoch-based refresh across mutations); it must
-  // have been built for the same network/prefix/terminals as given here.
+  // Compiled FIB vs the reference walker (check/return_path.h):
+  // identical (reachable, terminal, used_default_route, hops) for every
+  // AS. `fib` is the caller's cached instance (exercising epoch-based
+  // refresh across mutations); it must have been built for the same
+  // network/prefix/terminals as given here.
   std::optional<Violation> fib_agreement(const bgp::BgpNetwork& network,
                                          const net::Prefix& prefix,
                                          std::span<const net::Asn> terminals,

@@ -4,7 +4,7 @@
 //
 // Deliberately written from the spec rather than sharing code with
 // src/bgp/decision.cpp: a fault injected into the production comparator
-// (the RE_CHECK_SEEDED_FAULT mutation knob, or a real regression) changes
+// (the DecisionConfig::mutant_med_flip mutant, or a real regression) changes
 // every RIB in a simulated world *consistently*, so re-deriving bests
 // through the production code again would verify a tautology. The
 // reference is the independent second opinion that breaks the loop.

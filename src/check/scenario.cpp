@@ -60,7 +60,8 @@ const char* to_string(OpKind kind) {
 }
 
 std::unique_ptr<bgp::BgpNetwork> make_world(std::uint64_t seed,
-                                            WorldSpec* spec) {
+                                            WorldSpec* spec,
+                                            bool med_flip_mutant) {
   auto network = std::make_unique<bgp::BgpNetwork>(seed);
   // Stream 0 of the master seed: topology. Stream 1 is the schedule
   // (make_scenario), so one world can be driven by many schedules.
@@ -145,6 +146,12 @@ std::unique_ptr<bgp::BgpNetwork> make_world(std::uint64_t seed,
   local.origins.push_back(stripped);
   local.origins.push_back(squatter);
 
+  if (med_flip_mutant) {
+    for (const Asn asn : network->asns()) {
+      network->speaker(asn)->decision().mutant_med_flip = true;
+    }
+  }
+
   // Converged two-origin baseline on the first pool prefix, so every
   // schedule starts from a populated world (fib_test's announcement
   // shape: one R&E-scoped origin, one commodity origin).
@@ -192,15 +199,16 @@ ScenarioResult run_scenario(const Scenario& scenario,
                             const CheckOptions& options) {
   ScenarioResult result;
   WorldSpec spec;
-  const auto network_ptr = make_world(scenario.seed, &spec);
+  const auto network_ptr =
+      make_world(scenario.seed, &spec, options.med_flip_mutant);
   bgp::BgpNetwork& network = *network_ptr;
   InvariantSuite suite;
   std::size_t executor_checks = 0;
 
   // Decision-process conformance first: table-driven and RIB-independent,
-  // it catches tie-break faults (the RE_CHECK_SEEDED_FAULT mutation) even
-  // on schedules whose routes never exercise the broken step.
-  if (auto v = suite.decision_conformance()) {
+  // it catches tie-break faults (the med-flip mutant) even on schedules
+  // whose routes never exercise the broken step.
+  if (auto v = suite.decision_conformance(options.med_flip_mutant)) {
     result.violation = std::move(v);
     result.invariant_checks = suite.checks_run();
     return result;

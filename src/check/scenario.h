@@ -77,9 +77,11 @@ struct WorldSpec {
 // edges and stances drawn from the seed's topology RNG stream, the
 // pathological extras the FIB must classify (route-stripped default
 // router, squatter origin), one collector feed, and a converged two-origin
-// baseline announcement of the first pool prefix.
+// baseline announcement of the first pool prefix. `med_flip_mutant` sets
+// DecisionConfig::mutant_med_flip on every speaker before that baseline.
 std::unique_ptr<bgp::BgpNetwork> make_world(std::uint64_t seed,
-                                            WorldSpec* spec = nullptr);
+                                            WorldSpec* spec = nullptr,
+                                            bool med_flip_mutant = false);
 
 // Draws a random `op_count`-long schedule from the seed's schedule RNG
 // stream (independent of the topology stream, so the same world can be
@@ -94,10 +96,14 @@ struct CheckOptions {
   // Cross-validate scoped/dirty/full runs against a forked full run (the
   // scoped-vs-full prefix_state_digest equivalence gate).
   bool scoped_equivalence = true;
-  // Differential-check the compiled FIB against the legacy walker.
+  // Differential-check the compiled FIB against the reference walker.
   bool fib_agreement = true;
   // Snapshot encode -> decode -> digest round-trip after run ops.
   bool snapshot_roundtrip = true;
+  // Mutation testing: plant the MED direction flip in every speaker of
+  // the world and in the conformance table's production calls, so a run
+  // must report a violation (re_check --mutant med-flip).
+  bool med_flip_mutant = false;
 };
 
 struct ScenarioResult {

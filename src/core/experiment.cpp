@@ -7,9 +7,7 @@
 #include <utility>
 
 #include "dataplane/fib.h"
-#include "dataplane/return_path.h"
 #include "obs/trace.h"
-#include "runtime/env.h"
 #include "netbase/binio.h"
 #include "netbase/rng.h"
 
@@ -227,16 +225,11 @@ ExperimentResult ExperimentController::run_rounds(Setup setup,
     }
   }
 
-  // The probing plane: compiled catchment FIB by default (refreshed once
-  // per round, O(1) per probe target), legacy AS-by-AS walker as the
-  // escape hatch / differential oracle. Identical classifications either
-  // way — fib_test.cpp proves it per-AS, CI gates the result digest.
-  const bool use_fib =
-      config_.compiled_fib && runtime::env_flag("RE_DATAPLANE_FIB", true);
+  // The probing plane: one compiled catchment FIB, refreshed once per
+  // round, O(1) per probe target. fib_test.cpp checks it per AS against
+  // the reference walker in src/check; SurveyDigestPin pins the result.
   dataplane::CatchmentFib fib(network, meas,
                               {result.commodity_origin, result.re_origin});
-  dataplane::ReturnPathResolver resolver(
-      network, meas, {result.commodity_origin, result.re_origin});
 
   for (std::size_t round = first_round; round < config_.schedule.size();
        ++round) {
@@ -256,15 +249,13 @@ ExperimentResult ExperimentController::run_rounds(Setup setup,
     }
     window.config_applied = network.clock().now();
     if (config_.full_convergence) {
-      // Incremental mode converges exactly the prefixes this round's
-      // mutations dirtied — for rounds 1..8 that is the measurement
-      // prefix alone, out of the potentially full-RIB channel set. The
-      // baseline drained every channel before round 0, so the dirty set
-      // covers all in-flight work and the outcome is bit-identical to a
-      // full sweep (round 0's dirty set is empty: both paths no-op).
-      const bgp::ConvergenceStats stats =
-          config_.incremental_rounds ? network.run_dirty_to_convergence()
-                                     : network.run_to_convergence();
+      // Converge exactly the prefixes this round's mutations dirtied —
+      // for rounds 1..8 that is the measurement prefix alone, out of the
+      // potentially full-RIB channel set. The baseline drained every
+      // channel before round 0, so the dirty set covers all in-flight
+      // work and the outcome is bit-identical to a full sweep (round 0's
+      // dirty set is empty: a no-op).
+      const bgp::ConvergenceStats stats = network.run_dirty_to_convergence();
       result.propagation_perf += stats.perf;
       window.converged_at = stats.converged_at;
       window.converged = true;
@@ -293,7 +284,7 @@ ExperimentResult ExperimentController::run_rounds(Setup setup,
     // the prefix's epoch: recompile here, once, before the prober fans
     // queries out — possibly across the pool, against a table that is
     // strictly read-only for the rest of the round.
-    if (use_fib) fib.refresh();
+    fib.refresh();
     const int flaky_check = static_cast<int>(round);
     const probing::TargetResolver target_resolver =
         [&](const probing::PrefixSeeds& seeds,
@@ -307,24 +298,12 @@ ExperimentResult ExperimentController::run_rounds(Setup setup,
       // systems; interconnect addresses follow their owner's routing.
       const bool stance =
           seeds.stance_override.has_value() && !target.routes_via.has_value();
-      bool reachable = false;
-      net::Asn terminal;
-      if (use_fib) {
-        const dataplane::CatchmentFib::Attribution attr =
-            stance ? fib.attribution_with_stance(from, *seeds.stance_override)
-                   : fib.attribution(from);
-        reachable = attr.reachable;
-        terminal = attr.terminal;
-      } else {
-        const dataplane::ReturnPath path =
-            stance ? resolver.resolve_with_stance(from, *seeds.stance_override)
-                   : resolver.resolve(from);
-        reachable = path.reachable;
-        terminal = path.terminal;
-      }
-      if (!reachable) return std::nullopt;
+      const dataplane::CatchmentFib::Attribution attr =
+          stance ? fib.attribution_with_stance(from, *seeds.stance_override)
+                 : fib.attribution(from);
+      if (!attr.reachable) return std::nullopt;
       const probing::VlanInterface* iface =
-          host.interface_for_terminal(terminal);
+          host.interface_for_terminal(attr.terminal);
       return iface == nullptr ? std::nullopt
                               : std::optional<int>(iface->vlan_id);
     };

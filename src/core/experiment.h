@@ -77,22 +77,6 @@ struct ExperimentConfig {
   // of Table 2's non-NIKS difference rows).
   double p_week_variation = 0.005;
 
-  // Prefix-scoped incremental re-convergence for the prepend rounds (see
-  // BgpNetwork::run_dirty_to_convergence and DESIGN.md §5e). A prepend
-  // change perturbs only the measurement prefix, so rounds 2..9 converge
-  // just that prefix instead of sweeping every channel. Results are
-  // bit-identical either way (digest-gated in CI); the knob exists for
-  // the ablation benches to measure the difference.
-  bool incremental_rounds = true;
-
-  // Probe-target resolution through the compiled catchment FIB (see
-  // dataplane/fib.h): one table compile per (round, mutation) epoch, O(1)
-  // per probe, instead of a full AS-by-AS walk per probe. Classification
-  // output is bit-identical either way (digest-gated in CI); the legacy
-  // walker stays available as the oracle via this knob or the
-  // RE_DATAPLANE_FIB=off environment escape hatch (the env flag wins).
-  bool compiled_fib = true;
-
   std::uint64_t seed = 99;
 
   // When set, the baseline phase also announces and converges every

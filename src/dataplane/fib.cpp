@@ -106,7 +106,7 @@ void CatchmentFib::compile() {
   // compression: every node is visited exactly once) or a node already on
   // the current chain (a cycle: classify the whole cycle as a forwarding
   // loop, then unwind the tail against it). depth_ records how many hops
-  // the legacy walk takes past the source, so queries know when the
+  // a hop-by-hop walk takes past the source, so queries know when the
   // 64-hop budget would truncate the walk; flag_ accumulates
   // used_default_route exactly as the walk does.
   //
@@ -177,7 +177,7 @@ CatchmentFib::Attribution CatchmentFib::attribution(net::Asn source) const {
 CatchmentFib::Attribution CatchmentFib::attribution_at(
     std::uint32_t idx) const {
   // depth_ counts hops past the source; depth >= kMaxHops means the
-  // legacy walk runs out of budget before finishing, truncating both the
+  // hop-by-hop walk runs out of budget before finishing, truncating both the
   // outcome and the flag accumulation — replay it exactly instead.
   if (depth_[idx] >= static_cast<std::uint32_t>(kMaxHops)) {
     return walk_attribution(idx);
@@ -193,7 +193,7 @@ CatchmentFib::Attribution CatchmentFib::attribution_at(
 
 CatchmentFib::Attribution CatchmentFib::walk_attribution(
     std::uint32_t start) const {
-  // The legacy walk replayed over the compiled arrays: same hop budget,
+  // The hop-by-hop walk replayed over the compiled arrays: same hop budget,
   // same visited semantics, same flag accumulation order — just array
   // reads instead of RIB lookups. Only reached for walks the budget
   // truncates, so the O(hops^2) visited scan is bounded and rare.
@@ -266,18 +266,6 @@ CatchmentFib::Attribution CatchmentFib::attribution_with_stance(
   // The override only re-selects this AS's own egress; everything past
   // the first hop forwards normally — one O(1) table lookup.
   return attribution(best.learned_from);
-}
-
-void CatchmentFib::attribution_batch(std::span<const net::Asn> sources,
-                                     std::span<Attribution> out,
-                                     runtime::ThreadPool* pool) const {
-  const std::size_t count = std::min(sources.size(), out.size());
-  if (pool == nullptr || pool->thread_count() <= 1) {
-    for (std::size_t i = 0; i < count; ++i) out[i] = attribution(sources[i]);
-    return;
-  }
-  pool->parallel_for(count,
-                     [&](std::size_t i) { out[i] = attribution(sources[i]); });
 }
 
 ReturnPath CatchmentFib::resolve(net::Asn source) const {

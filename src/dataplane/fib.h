@@ -1,23 +1,26 @@
 // Compiled catchment FIB: memoized, epoch-invalidated return-path
 // resolution for the probing plane.
 //
+// Responses are forwarded hop-by-hop: each AS forwards toward its *own*
+// best route for the measurement prefix, falling back to its default-route
+// session when it has no route at all (the hidden-upstream behaviour of
+// §4.2). A return path ends at an announcement terminal, which maps to a
+// host VLAN, or fails on a loop / route-less AS.
+//
 // Per prefix, forwarding in this model is a *functional graph*: every AS
 // has exactly one next hop (its best route's learned_from, or its
 // default-route session when it has no route), so all return paths for
 // one prefix form a forest rooted at the announcement terminals, plus
 // possibly a few cycles (forwarding loops) and dead ends (black holes).
-// The legacy ReturnPathResolver re-walks that graph AS-by-AS per query —
-// ~12K prefixes x 3 addresses x 9 rounds of redundant shared-suffix
-// walks. A CatchmentFib instead snapshots the whole graph once per
-// converged round into dense arrays indexed by BgpNetwork's dense speaker
-// index, resolves terminal attribution for *all* ASes in one O(N)
-// iterative pass (pointer-jumping with an explicit stack + path
-// compression: every node is classified exactly once), and then answers
-// each query in O(1): {terminal T, via/without default route},
-// forwarding loop, or black hole. Full `hops` vectors are reconstructed
-// lazily, only for callers that need them (tracer, diagnostics), by
-// walking the compiled next-hop array — O(path length) array reads, zero
-// RIB lookups.
+// A CatchmentFib snapshots that graph once per converged round into
+// dense arrays indexed by BgpNetwork's dense speaker index, resolves
+// terminal attribution for *all* ASes in one O(N) iterative pass
+// (pointer-jumping with an explicit stack + path compression: every node
+// is classified exactly once), and then answers each query in O(1):
+// {terminal T, via/without default route}, forwarding loop, or black
+// hole. Full `hops` vectors are reconstructed lazily, only for callers
+// that need them (tracer, diagnostics), by walking the compiled next-hop
+// array — O(path length) array reads, zero RIB lookups.
 //
 // Staleness is handled by epochs, not by discipline: BgpNetwork bumps a
 // per-prefix mutation counter wherever the dirty set is seeded and on
@@ -28,10 +31,12 @@
 // attribution() concurrently); refresh() itself must be called from one
 // thread, between query batches.
 //
-// The compiled classification is bit-identical to the legacy walker —
-// including its 64-hop limit and the exact `used_default_route`
-// accumulation on failure paths — which fib_test.cpp enforces
-// differentially across random worlds.
+// The compiled classification is bit-identical to an AS-by-AS walk of the
+// RIBs — including its 64-hop limit and the exact `used_default_route`
+// accumulation on failure paths. That walk is src/check's reference
+// walker, the oracle: fib_test.cpp enforces the equivalence across random
+// worlds and re_check's fib-agreement invariant after every convergence
+// op.
 #pragma once
 
 #include <atomic>
@@ -41,12 +46,20 @@
 #include <vector>
 
 #include "bgp/network.h"
-#include "dataplane/return_path.h"
 #include "netbase/asn.h"
 #include "netbase/prefix.h"
-#include "runtime/thread_pool.h"
 
 namespace re::dataplane {
+
+// One resolved return path: the announcement endpoint reached (and hence
+// the measurement-host VLAN), the AS-level forwarding path, and whether a
+// default route carried it anywhere along the way.
+struct ReturnPath {
+  bool reachable = false;
+  net::Asn terminal;            // announcement endpoint reached
+  std::vector<net::Asn> hops;   // AS-level forwarding path, source first
+  bool used_default_route = false;
+};
 
 // Terminal-attribution class of one AS for one prefix.
 enum class CatchmentClass : std::uint8_t {
@@ -59,10 +72,9 @@ enum class CatchmentClass : std::uint8_t {
 
 class CatchmentFib {
  public:
-  // Which next-hop rule to compile. kReturnPath mirrors
-  // ReturnPathResolver::resolve (a non-terminal originator black-holes);
-  // kTraceroute mirrors Tracer::trace (it falls through to the default
-  // route instead).
+  // Which next-hop rule to compile. kReturnPath is the probing plane's
+  // (a non-terminal originator black-holes); kTraceroute mirrors
+  // Tracer::trace (it falls through to the default route instead).
   enum class NextHopRule : std::uint8_t { kReturnPath, kTraceroute };
 
   CatchmentFib(const bgp::BgpNetwork& network, net::Prefix prefix,
@@ -89,7 +101,7 @@ class CatchmentFib {
   void invalidate() noexcept { compiled_ = false; }
 
   // O(1) terminal attribution — the (reachable, terminal,
-  // used_default_route) triple of the legacy walker, without hops.
+  // used_default_route) triple of resolve(), without hops.
   struct Attribution {
     bool reachable = false;
     net::Asn terminal;
@@ -103,14 +115,8 @@ class CatchmentFib {
   Attribution attribution_with_stance(net::Asn source,
                                       bgp::ReStance stance) const;
 
-  // Batch attribution across the runtime pool (nullptr = serial). The
-  // compiled table is a read-only snapshot, so sources shard trivially.
-  void attribution_batch(std::span<const net::Asn> sources,
-                         std::span<Attribution> out,
-                         runtime::ThreadPool* pool) const;
-
-  // Legacy-shaped results with full hops, reconstructed lazily from the
-  // compiled next-hop array. Bit-identical to ReturnPathResolver.
+  // Full results with hops, reconstructed lazily from the compiled
+  // next-hop array. Bit-identical to src/check's reference walker.
   ReturnPath resolve(net::Asn source) const;
   void resolve(net::Asn source, ReturnPath& out) const;
   ReturnPath resolve_with_stance(net::Asn source, bgp::ReStance stance) const;
@@ -120,8 +126,8 @@ class CatchmentFib {
   std::optional<net::Asn> next_hop(net::Asn asn) const;
 
   // The compiled class of `asn` (kBlackHole for ASes outside the
-  // network, matching the walker's "no speaker" outcome — unless the ASN
-  // is itself a terminal).
+  // network, matching a walk's "no speaker" outcome — unless the ASN is
+  // itself a terminal).
   CatchmentClass catchment_class(net::Asn asn) const;
 
   bool is_terminal(net::Asn asn) const {
@@ -147,7 +153,7 @@ class CatchmentFib {
   static constexpr std::uint32_t kNoNext = 0xFFFFFFFFu;
   static constexpr std::uint32_t kExternalNext = 0xFFFFFFFEu;
   static constexpr std::uint32_t kNoTerminal = 0xFFFFFFFFu;
-  static constexpr int kMaxHops = 64;  // the legacy walker's hop budget
+  static constexpr int kMaxHops = 64;  // the return-path hop budget
 
   void compile();
   std::size_t dense_index(net::Asn asn) const {
@@ -156,7 +162,7 @@ class CatchmentFib {
   }
   net::Asn external_of(std::uint32_t idx) const;
   Attribution attribution_at(std::uint32_t idx) const;
-  // Exact legacy-walk fallback over the compiled arrays, for the rare
+  // Exact hop-by-hop walk over the compiled arrays, for the rare
   // nodes whose walk would overrun the hop budget (depth >= kMaxHops) and
   // for unknown sources. Read-only; still no RIB lookups.
   Attribution walk_attribution(std::uint32_t idx) const;
@@ -174,8 +180,8 @@ class CatchmentFib {
   std::vector<std::uint8_t> is_terminal_;  // dense terminal membership
   std::vector<CatchmentClass> class_;
   std::vector<std::uint32_t> terminal_of_;  // index into terminals_
-  std::vector<std::uint32_t> depth_;  // hops the legacy walk takes past the
-                                      // source before it returns
+  std::vector<std::uint32_t> depth_;  // hops a walk takes past the source
+                                      // before it returns
   std::vector<std::uint8_t> flag_;    // aggregated used_default_route
   // The rare next hops that exist as ASNs but not as speakers (linear
   // scan: approximately always empty).

@@ -84,25 +84,6 @@ std::size_t env_thread_count(const char* name, std::size_t fallback) {
   return *parsed;
 }
 
-std::optional<bool> parse_flag(std::string_view text) noexcept {
-  text = trimmed(text);
-  if (text == "on" || text == "1" || text == "true" || text == "yes") {
-    return true;
-  }
-  if (text == "off" || text == "0" || text == "false" || text == "no") {
-    return false;
-  }
-  return std::nullopt;
-}
-
-bool env_flag(const char* name, bool fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  const auto parsed = parse_flag(env);
-  if (!parsed) die(name, env, "an on/off flag (on/off, 1/0, true/false)");
-  return *parsed;
-}
-
 std::optional<std::string> parse_env_string(std::string_view text) {
   text = trimmed(text);
   if (text.empty()) return std::nullopt;

@@ -48,16 +48,6 @@ std::size_t env_thread_count(const char* name, std::size_t fallback);
 // fallback; set but malformed -> diagnostic on stderr and exit(2).
 double env_positive_double(const char* name, double fallback);
 
-// Strict parse of an on/off flag: "on"/"off", "1"/"0", "true"/"false",
-// "yes"/"no" (case-sensitive, the spellings people actually type when
-// flipping an escape hatch). nullopt on anything else.
-std::optional<bool> parse_flag(std::string_view text) noexcept;
-
-// Reads env var `name` as an on/off flag (see parse_flag). Unset or
-// empty -> fallback; set but malformed -> diagnostic on stderr and
-// exit(2). Used by escape hatches like RE_DATAPLANE_FIB=off.
-bool env_flag(const char* name, bool fallback);
-
 // Strict parse of a free-form string knob (a path, a name): surrounding
 // whitespace is trimmed, and a value that trims to nothing is rejected.
 // nullopt on empty — a knob set to "" is a typo'd export, not a request.

@@ -35,13 +35,14 @@ struct PerfCounters {
                                                 // queued because their
                                                 // prefix was out of scope
 
-  // Compiled catchment FIB (see dataplane/fib.h). Zero when the probing
-  // plane ran through the legacy walker (RE_DATAPLANE_FIB=off).
+  // Compiled catchment FIB (see dataplane/fib.h), the probing plane's
+  // only resolver.
   std::uint64_t fib_compiles = 0;       // full table compiles
   std::uint64_t fib_hits = 0;           // resolutions served from a table
   std::uint64_t fib_invalidations = 0;  // refreshes that found a new epoch
-  double probe_resolve_seconds = 0.0;   // probing-phase wall (resolution +
-                                        // packet codec), all rounds
+  double probe_resolve_seconds = 0.0;   // probing-phase wall (FIB queries,
+                                        // loss rolls, outcome storage),
+                                        // all rounds
 
   // Checkpoint/fork engine (see BgpNetwork::checkpoint / Snapshot::fork).
   std::uint64_t checkpoints = 0;          // snapshots taken from this network

@@ -9,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "bgp/decision.h"
 #include "bgp/network.h"
+#include "bgp/speaker.h"
 #include "check/invariants.h"
 #include "check/reference_decision.h"
 #include "check/scenario.h"
@@ -258,12 +260,60 @@ TEST(ReCheck, HealthySeedsProduceNoViolations) {
 }
 
 TEST(ReCheck, DecisionConformanceCleanWithoutSeededFault) {
-  // The planted-fault knob is read once at startup; under a normal test
-  // run the adversarial table must pass.
+  // Without the mutant bit the adversarial table must pass.
   check::InvariantSuite suite;
   const auto violation = suite.decision_conformance();
   EXPECT_FALSE(violation.has_value())
       << violation->invariant << ": " << violation->detail;
+}
+
+TEST(ReCheck, MedFlipMutantIsCaughtByConformanceTable) {
+  // The planted fault re_check's --mutant med-flip gate relies on: the
+  // table reports the MED pair with the bit, and production better_route
+  // under a default DecisionConfig still prefers the lower MED. (The
+  // table without the bit: DecisionConformanceCleanWithoutSeededFault.)
+  check::InvariantSuite suite;
+  const auto violation =
+      suite.decision_conformance(/*med_flip_mutant=*/true);
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_EQ(violation->invariant, "decision-conformance");
+  EXPECT_NE(violation->detail.find("med-lower-wins"), std::string::npos)
+      << violation->detail;
+
+  bgp::PathTable table;
+  std::size_t med_pairs = 0;
+  for (const check::AdversarialPair& pair : check::adversarial_pairs(table)) {
+    if (pair.step != bgp::DecisionStep::kMed) continue;
+    ++med_pairs;
+    const bgp::DecisionConfig production;
+    EXPECT_TRUE(bgp::better_route(pair.preferred, pair.other, production));
+    EXPECT_FALSE(bgp::better_route(pair.other, pair.preferred, production));
+    bgp::DecisionConfig mutant;
+    mutant.mutant_med_flip = true;
+    EXPECT_TRUE(bgp::better_route(pair.other, pair.preferred, mutant));
+  }
+  EXPECT_EQ(med_pairs, 1u);
+}
+
+TEST(ReCheck, MedFlipMutantReachesEveryWorldSpeakerAndFailsTheRun) {
+  const auto mutant = check::make_world(3, nullptr, /*med_flip_mutant=*/true);
+  const auto clean = check::make_world(3);
+  for (const net::Asn asn : mutant->asns()) {
+    EXPECT_TRUE(mutant->speaker(asn)->decision().mutant_med_flip)
+        << asn.to_string();
+    EXPECT_FALSE(clean->speaker(asn)->decision().mutant_med_flip)
+        << asn.to_string();
+  }
+
+  const Scenario scenario = check::make_scenario(3, 8);
+  check::CheckOptions options;
+  options.med_flip_mutant = true;
+  const check::ScenarioResult failed = check::run_scenario(scenario, options);
+  ASSERT_TRUE(failed.violation.has_value());
+  EXPECT_EQ(failed.violation->invariant, "decision-conformance");
+  EXPECT_EQ(failed.violation->op_index, check::Violation::kNoOp);
+  EXPECT_EQ(failed.ops_executed, 0u);
+  EXPECT_FALSE(check::run_scenario(scenario).violation.has_value());
 }
 
 TEST(ReCheck, RoundObserverFiresWithMonotoneRounds) {

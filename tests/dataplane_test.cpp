@@ -1,19 +1,43 @@
-// Tests for return-path resolution and outage injection.
+// Tests for return-path resolution and outage injection. The hand-built
+// cases run the reference walker (check/return_path.h) and check that the
+// compiled CatchmentFib, the probing plane's resolver, agrees with it.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "check/return_path.h"
+#include "dataplane/fib.h"
 #include "dataplane/outage.h"
-#include "dataplane/return_path.h"
 
 namespace re::dataplane {
 namespace {
 
+using check::ReturnPathResolver;
 using net::Asn;
 using net::Prefix;
 
 const Prefix kPrefix = *Prefix::parse("163.253.63.0/24");
+
+// The shipped path gives the walker's answer for `source`:
+// CatchmentFib::attribution (attribution_with_stance when `stance` is set)
+// returns the walker's (reachable, terminal, used_default_route).
+void expect_fib_agrees(const bgp::BgpNetwork& network,
+                       const ReturnPathResolver& walker, Asn source,
+                       std::optional<bgp::ReStance> stance = std::nullopt) {
+  const ReturnPath want = stance ? walker.resolve_with_stance(source, *stance)
+                                 : walker.resolve(source);
+  CatchmentFib fib(network, kPrefix, walker.terminals());
+  fib.refresh();
+  const CatchmentFib::Attribution got =
+      stance ? fib.attribution_with_stance(source, *stance)
+             : fib.attribution(source);
+  EXPECT_EQ(got.reachable, want.reachable) << source.to_string();
+  EXPECT_EQ(got.terminal, want.terminal) << source.to_string();
+  EXPECT_EQ(got.used_default_route, want.used_default_route)
+      << source.to_string();
+}
 
 // origin_re(100) <-re- mid(10) <-re- edge(42); origin_comm(200) <- edge(42).
 struct TwoPathFixture {
@@ -46,6 +70,7 @@ TEST(ReturnPath, WalksToReTerminalWhenPreferred) {
   EXPECT_EQ(path.hops[1], Asn{10});
   EXPECT_EQ(path.hops[2], Asn{100});
   EXPECT_FALSE(path.used_default_route);
+  expect_fib_agrees(f.network, resolver, Asn{42});
 }
 
 TEST(ReturnPath, WalksToCommodityWhenPreferred) {
@@ -57,6 +82,7 @@ TEST(ReturnPath, WalksToCommodityWhenPreferred) {
   const ReturnPath path = resolver.resolve(Asn{42});
   ASSERT_TRUE(path.reachable);
   EXPECT_EQ(path.terminal, Asn{200});
+  expect_fib_agrees(f.network, resolver, Asn{42});
 }
 
 TEST(ReturnPath, SourceAtTerminalResolvesImmediately) {
@@ -67,6 +93,7 @@ TEST(ReturnPath, SourceAtTerminalResolvesImmediately) {
   ASSERT_TRUE(path.reachable);
   EXPECT_EQ(path.terminal, Asn{100});
   EXPECT_EQ(path.hops.size(), 1u);
+  expect_fib_agrees(f.network, resolver, Asn{100});
 }
 
 TEST(ReturnPath, UnreachableWithoutRouteOrDefault) {
@@ -75,6 +102,7 @@ TEST(ReturnPath, UnreachableWithoutRouteOrDefault) {
   ReturnPathResolver resolver(network, kPrefix, {Asn{100}});
   const ReturnPath path = resolver.resolve(Asn{42});
   EXPECT_FALSE(path.reachable);
+  expect_fib_agrees(network, resolver, Asn{42});
 }
 
 TEST(ReturnPath, DefaultRouteCarriesRouteLessSource) {
@@ -100,6 +128,7 @@ TEST(ReturnPath, DefaultRouteCarriesRouteLessSource) {
   ASSERT_TRUE(path.reachable);
   EXPECT_TRUE(path.used_default_route);
   EXPECT_EQ(path.terminal, Asn{200});
+  expect_fib_agrees(network2, resolver, Asn{42});
 }
 
 TEST(ReturnPath, OriginatorOfPrefixThatIsNotTerminalFails) {
@@ -109,6 +138,7 @@ TEST(ReturnPath, OriginatorOfPrefixThatIsNotTerminalFails) {
   network.run_to_convergence();
   ReturnPathResolver resolver(network, kPrefix, {Asn{100}});
   EXPECT_FALSE(resolver.resolve(Asn{42}).reachable);
+  expect_fib_agrees(network, resolver, Asn{42});
 }
 
 TEST(ReturnPath, IsTerminalQuery) {
@@ -116,6 +146,11 @@ TEST(ReturnPath, IsTerminalQuery) {
   ReturnPathResolver resolver(network, kPrefix, {Asn{100}, Asn{200}});
   EXPECT_TRUE(resolver.is_terminal(Asn{100}));
   EXPECT_FALSE(resolver.is_terminal(Asn{42}));
+  const CatchmentFib fib(network, kPrefix, resolver.terminals());
+  EXPECT_TRUE(fib.is_terminal(Asn{100}));
+  EXPECT_FALSE(fib.is_terminal(Asn{42}));
+  expect_fib_agrees(network, resolver, Asn{100});
+  expect_fib_agrees(network, resolver, Asn{42});
 }
 
 TEST(ReturnPath, SpanConstructorMatchesInitializerList) {
@@ -132,6 +167,8 @@ TEST(ReturnPath, SpanConstructorMatchesInitializerList) {
   EXPECT_EQ(a.hops, b.hops);
   ASSERT_EQ(from_span.terminals().size(), 2u);
   EXPECT_EQ(from_span.terminals()[0], Asn{100});
+  expect_fib_agrees(f.network, from_span, Asn{42});
+  expect_fib_agrees(f.network, from_list, Asn{42});
 }
 
 TEST(ReturnPath, ReuseOverloadMatchesAndClearsPriorState) {
@@ -151,6 +188,7 @@ TEST(ReturnPath, ReuseOverloadMatchesAndClearsPriorState) {
   EXPECT_EQ(out.terminal, fresh.terminal);
   EXPECT_EQ(out.used_default_route, fresh.used_default_route);
   EXPECT_EQ(out.hops, fresh.hops);
+  expect_fib_agrees(f.network, resolver, Asn{42});
 }
 
 // ---------------------------------------------------- per-prefix stance
@@ -171,6 +209,9 @@ TEST(ReturnPathStance, OverrideFlipsFirstHop) {
   EXPECT_EQ(overridden.terminal, Asn{200});
   ASSERT_GE(overridden.hops.size(), 2u);
   EXPECT_EQ(overridden.hops.front(), Asn{42});
+  expect_fib_agrees(f.network, resolver, Asn{42});
+  expect_fib_agrees(f.network, resolver, Asn{42},
+                    bgp::ReStance::kPreferCommodity);
 }
 
 TEST(ReturnPathStance, OverrideMatchingDefaultIsIdentity) {
@@ -184,6 +225,7 @@ TEST(ReturnPathStance, OverrideMatchingDefaultIsIdentity) {
       resolver.resolve_with_stance(Asn{42}, bgp::ReStance::kPreferRe);
   EXPECT_EQ(normal.terminal, same.terminal);
   EXPECT_EQ(normal.hops, same.hops);
+  expect_fib_agrees(f.network, resolver, Asn{42}, bgp::ReStance::kPreferRe);
 }
 
 TEST(ReturnPathStance, TerminalSourceUnaffected) {
@@ -194,6 +236,8 @@ TEST(ReturnPathStance, TerminalSourceUnaffected) {
       resolver.resolve_with_stance(Asn{100}, bgp::ReStance::kPreferCommodity);
   ASSERT_TRUE(path.reachable);
   EXPECT_EQ(path.terminal, Asn{100});
+  expect_fib_agrees(f.network, resolver, Asn{100},
+                    bgp::ReStance::kPreferCommodity);
 }
 
 TEST(ReturnPathStance, EqualOverrideFollowsPathLength) {
@@ -207,6 +251,7 @@ TEST(ReturnPathStance, EqualOverrideFollowsPathLength) {
       resolver.resolve_with_stance(Asn{42}, bgp::ReStance::kEqualPref);
   ASSERT_TRUE(path.reachable);
   EXPECT_EQ(path.terminal, Asn{200});
+  expect_fib_agrees(f.network, resolver, Asn{42}, bgp::ReStance::kEqualPref);
 }
 
 // ------------------------------------------------------------------ outage

@@ -244,6 +244,18 @@ TEST_F(ExperimentFixture, MixedPrefixesLeanTowardsRe) {
   EXPECT_GT(re_systems, comm_systems);
 }
 
+TEST_F(ExperimentFixture, ProbesResolveThroughCompiledFib) {
+  // Every probe target resolves through the experiment's one compiled
+  // catchment FIB: it compiled, answered queries, and recompiled at most
+  // once per round (refresh() runs once per round, before probing).
+  for (const ExperimentResult* result : {&world().surf, &world().internet2}) {
+    const auto& perf = result->propagation_perf;
+    EXPECT_GT(perf.fib_compiles, 0u);
+    EXPECT_LE(perf.fib_compiles, result->windows.size());
+    EXPECT_GT(perf.fib_hits, 0u);
+  }
+}
+
 // An absolute check, not a relative one: re_survey's setup at --scale 0.05
 // (default seed, the default seed database, 11 probe targets per prefix,
 // per-experiment seeds ^501 / ^502, a 2-thread probing pool) must reproduce

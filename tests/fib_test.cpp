@@ -1,25 +1,23 @@
 // Differential tests for the compiled catchment FIB (dataplane/fib.h):
-// the compiled table must be bit-identical to the legacy
-// ReturnPathResolver walker — terminal, used_default_route, hops, hop
-// budget, stance overrides — across randomized topologies, and its epoch
-// invalidation must track every mutation path of BgpNetwork.
+// the compiled table must be bit-identical to the reference
+// check::ReturnPathResolver walker — terminal, used_default_route, hops,
+// hop budget, stance overrides — across randomized topologies, and its
+// epoch invalidation must track every mutation path of BgpNetwork.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <vector>
 
 #include "bgp/network.h"
-#include "core/experiment.h"
+#include "check/return_path.h"
 #include "dataplane/fib.h"
-#include "dataplane/return_path.h"
 #include "netbase/rng.h"
-#include "probing/seeds.h"
 #include "runtime/thread_pool.h"
-#include "topology/ecosystem.h"
 
 namespace re::dataplane {
 namespace {
 
+using check::ReturnPathResolver;
 using net::Asn;
 using net::Prefix;
 
@@ -226,6 +224,9 @@ TEST_P(CatchmentFibFuzz, MatchesLegacyAfterMutations) {
 };
 
 TEST_P(CatchmentFibFuzz, BatchMatchesSerialUnderPool) {
+  // The prober pool's access pattern: pool workers call attribution()
+  // concurrently on one refreshed, read-only table. Every answer must
+  // equal the serial one (the TSan shard runs this).
   FuzzTopology topo(GetParam());
   const std::vector<Asn> terminals{topo.re_origin, topo.comm_origin};
   CatchmentFib fib(topo.network, kPrefix, terminals);
@@ -233,9 +234,13 @@ TEST_P(CatchmentFibFuzz, BatchMatchesSerialUnderPool) {
   const std::vector<Asn> sources = topo.all();
   std::vector<CatchmentFib::Attribution> serial(sources.size());
   std::vector<CatchmentFib::Attribution> pooled(sources.size());
-  fib.attribution_batch(sources, serial, nullptr);
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    serial[i] = fib.attribution(sources[i]);
+  }
   runtime::ThreadPool pool(4);
-  fib.attribution_batch(sources, pooled, &pool);
+  pool.parallel_for(sources.size(), [&](std::size_t i) {
+    pooled[i] = fib.attribution(sources[i]);
+  });
   for (std::size_t i = 0; i < sources.size(); ++i) {
     EXPECT_EQ(serial[i].reachable, pooled[i].reachable);
     EXPECT_EQ(serial[i].terminal, pooled[i].terminal);
@@ -398,39 +403,6 @@ TEST(CatchmentFib, NextHopDrivesTtlWalks) {
   EXPECT_EQ(fib.next_hop(Asn{42}), std::optional<Asn>(Asn{10}));
   EXPECT_EQ(fib.next_hop(Asn{10}), std::optional<Asn>(Asn{100}));
   EXPECT_EQ(fib.next_hop(Asn{9999999}), std::nullopt);
-}
-
-// ------------------------------------- experiment digest: FIB vs legacy
-
-TEST(CatchmentFibExperiment, DigestMatchesLegacyResolver) {
-  // The whole-experiment equivalence the CI smoke also gates: probe
-  // classification through the compiled FIB must be digest-identical to
-  // the legacy per-probe walker.
-  topo::EcosystemParams params;
-  params = params.scaled(0.08);
-  params.seed = 20250808;
-  const topo::Ecosystem ecosystem = topo::Ecosystem::generate(params);
-  const probing::SeedDatabase db = probing::SeedDatabase::generate(
-      ecosystem, probing::SeedGenParams{});
-  const probing::SelectionResult selection =
-      probing::select_probe_seeds(ecosystem, db, 7);
-
-  core::ExperimentConfig config;
-  config.experiment = core::ReExperiment::kInternet2;
-  config.seed = 640;
-
-  config.compiled_fib = true;
-  const core::ExperimentResult with_fib =
-      core::ExperimentController(ecosystem, selection.seeds, config).run();
-  config.compiled_fib = false;
-  const core::ExperimentResult with_legacy =
-      core::ExperimentController(ecosystem, selection.seeds, config).run();
-
-  EXPECT_EQ(core::result_digest(with_fib), core::result_digest(with_legacy));
-  EXPECT_GT(with_fib.propagation_perf.fib_compiles, 0u);
-  EXPECT_GT(with_fib.propagation_perf.fib_hits, 0u);
-  EXPECT_EQ(with_legacy.propagation_perf.fib_compiles, 0u);
-  EXPECT_EQ(with_legacy.propagation_perf.fib_hits, 0u);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 #include <unordered_set>
 
 #include "bgp/network.h"
-#include "dataplane/return_path.h"
+#include "check/return_path.h"
 #include "netbase/rng.h"
 
 namespace re::bgp {
@@ -132,7 +132,7 @@ TEST_P(PropagationProperty, ForwardingReachesOrigin) {
   const Asn origin = topo.bottom_as();
   topo.network.announce(origin, kPrefix);
   topo.network.run_to_convergence();
-  dataplane::ReturnPathResolver resolver(topo.network, kPrefix, {origin});
+  check::ReturnPathResolver resolver(topo.network, kPrefix, {origin});
   for (const Asn as : topo.all()) {
     if (topo.network.speaker(as)->best(kPrefix) == nullptr) continue;
     const dataplane::ReturnPath path = resolver.resolve(as);

@@ -1,7 +1,7 @@
 // Tests for the AS-level tracer.
 #include <gtest/gtest.h>
 
-#include "dataplane/return_path.h"
+#include "check/return_path.h"
 #include "probing/tracer.h"
 #include "topology/ecosystem.h"
 
@@ -93,7 +93,7 @@ TEST(Tracer, AgreesWithReturnPathResolver) {
   network.announce(eco.internet2(), meas, re_only);
   network.run_to_convergence();
 
-  dataplane::ReturnPathResolver resolver(
+  check::ReturnPathResolver resolver(
       network, meas, {eco.measurement().commodity_origin, eco.internet2()});
   Tracer tracer(network, meas,
                 {eco.measurement().commodity_origin, eco.internet2()});
