@@ -11,14 +11,12 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bench/timing.h"
 #include "bench/world.h"
 #include "core/classifier.h"
 #include "runtime/thread_pool.h"
 
 int main() {
   using namespace re;
-  bench::BenchTimer timer("bench_ablation_pacing");
   const bench::World world = bench::make_world();
 
   auto config_with = [](net::SimTime wait, bool full_convergence) {
@@ -73,7 +71,6 @@ int main() {
     }
     pool.run_batch(tasks);
   });
-  timer.record("variants", cold_seconds, pool.thread_count());
 
   // Warm pass: the variants differ only post-baseline (pacing), so all
   // four share one converged baseline. Capture it once, then fork per
@@ -83,7 +80,6 @@ int main() {
   const double checkpoint_seconds = wall([&] {
     base = bench::checkpoint_baseline(world, config_with(net::kHour, true));
   });
-  timer.record("baseline_checkpoint", checkpoint_seconds);
 
   core::ExperimentResult warm_results[4];
   const double warm_seconds = wall([&] {
@@ -105,7 +101,6 @@ int main() {
     }
     pool.run_batch(tasks);
   });
-  timer.record("variants_warm", warm_seconds, pool.thread_count());
   std::printf(
       "cold sweep %.3fs, warm sweep %.3fs after a %.3fs one-time baseline"
       " checkpoint: %.2fx\n",
@@ -123,11 +118,8 @@ int main() {
       return 1;
     }
   }
-  std::printf("warm start: all 4 forked runs digest-identical to cold runs\n");
-  // Incremental-convergence counters for the paper-pacing run: the
-  // prepend rounds converge only the dirtied measurement prefix.
-  std::printf("propagation: %s\n\n",
-              warm_results[0].propagation_perf.summary().c_str());
+  std::printf("warm start: all 4 forked runs digest-identical to cold runs"
+              "\n\n");
 
   const std::vector<core::PrefixInference> baseline =
       core::classify_experiment(cold_results[0]);

@@ -11,14 +11,12 @@
 #include <map>
 #include <vector>
 
-#include "bench/timing.h"
 #include "bench/world.h"
 #include "core/classifier.h"
 #include "runtime/thread_pool.h"
 
 int main() {
   using namespace re;
-  bench::BenchTimer timer("bench_ablation_prepend_order");
   const bench::World world = bench::make_world();
 
   const std::vector<core::PrependConfig> naive = {
@@ -36,54 +34,42 @@ int main() {
   // The two orderings are independent experiments — run both concurrently.
   runtime::ThreadPool pool;
   core::ExperimentResult paper_cold, shuffled_cold;
-  timer.timed(
-      "orderings",
-      [&] {
-        pool.run_batch(
-            {[&] {
-               paper_cold = core::ExperimentController(
-                                world.ecosystem, world.selection.seeds,
-                                config_with(core::paper_schedule()))
-                                .run();
-             },
-             [&] {
-               shuffled_cold = core::ExperimentController(
-                                   world.ecosystem, world.selection.seeds,
-                                   config_with(naive))
-                                   .run();
-             }});
-      },
-      pool.thread_count());
+  pool.run_batch(
+      {[&] {
+         paper_cold = core::ExperimentController(
+                          world.ecosystem, world.selection.seeds,
+                          config_with(core::paper_schedule()))
+                          .run();
+       },
+       [&] {
+         shuffled_cold = core::ExperimentController(
+                             world.ecosystem, world.selection.seeds,
+                             config_with(naive))
+                             .run();
+       }});
 
   // Warm pass. The two schedules open with different R&E prepend levels
   // (4-0 vs 0-2), so their baselines differ: the paper ordering forks the
   // checkpoint, the shuffled one is incompatible and run(base) falls back
   // to a cold run — both still digest-identical to the cold pass.
-  core::ExperimentController::BaselineCheckpoint base;
-  timer.timed("baseline_checkpoint", [&] {
-    base = core::ExperimentController(world.ecosystem, world.selection.seeds,
-                                      config_with(core::paper_schedule()))
-               .checkpoint_baseline();
-  });
+  const core::ExperimentController::BaselineCheckpoint base =
+      core::ExperimentController(world.ecosystem, world.selection.seeds,
+                                 config_with(core::paper_schedule()))
+          .checkpoint_baseline();
   core::ExperimentResult paper_warm, shuffled_warm;
-  timer.timed(
-      "orderings_warm",
-      [&] {
-        pool.run_batch(
-            {[&] {
-               paper_warm = core::ExperimentController(
-                                world.ecosystem, world.selection.seeds,
-                                config_with(core::paper_schedule()))
-                                .run(base);
-             },
-             [&] {
-               shuffled_warm = core::ExperimentController(
-                                   world.ecosystem, world.selection.seeds,
-                                   config_with(naive))
-                                   .run(base);
-             }});
-      },
-      pool.thread_count());
+  pool.run_batch(
+      {[&] {
+         paper_warm = core::ExperimentController(
+                          world.ecosystem, world.selection.seeds,
+                          config_with(core::paper_schedule()))
+                          .run(base);
+       },
+       [&] {
+         shuffled_warm = core::ExperimentController(
+                             world.ecosystem, world.selection.seeds,
+                             config_with(naive))
+                             .run(base);
+       }});
   if (core::result_digest(paper_cold) != core::result_digest(paper_warm) ||
       core::result_digest(shuffled_cold) !=
           core::result_digest(shuffled_warm)) {
@@ -91,9 +77,7 @@ int main() {
     return 1;
   }
   std::printf("warm start: forked (paper order) and fallback (shuffled"
-              " order) runs digest-identical to cold runs\n");
-  std::printf("propagation: %s\n\n",
-              paper_warm.propagation_perf.summary().c_str());
+              " order) runs digest-identical to cold runs\n\n");
 
   const std::vector<core::PrefixInference> paper =
       core::classify_experiment(paper_cold);

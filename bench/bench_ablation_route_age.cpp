@@ -12,7 +12,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bench/timing.h"
 #include "bench/world.h"
 #include "core/comparator.h"
 #include "core/switch_cdf.h"
@@ -78,7 +77,6 @@ ZeroOneSwitchers count_zero_one_switchers(
 
 int main() {
   using namespace re;
-  bench::BenchTimer timer("bench_ablation_route_age");
   const bench::World world = bench::make_world();
 
   // The fidelity knob is per-AS decision configuration; for the disabled
@@ -98,56 +96,44 @@ int main() {
   const core::ReExperiment whichs[2] = {core::ReExperiment::kSurf,
                                         core::ReExperiment::kInternet2};
   core::ExperimentResult cold_runs[4];
-  timer.timed(
-      "variants",
-      [&] {
-        std::vector<std::function<void()>> tasks;
-        for (std::size_t i = 0; i < 4; ++i) {
-          tasks.push_back([&, i] {
-            cold_runs[i] = run_on(*ecos[i / 2], world, whichs[i % 2]);
-          });
-        }
-        pool.run_batch(tasks);
-      },
-      pool.thread_count());
+  std::vector<std::function<void()>> cold_tasks;
+  for (std::size_t i = 0; i < 4; ++i) {
+    cold_tasks.push_back([&, i] {
+      cold_runs[i] = run_on(*ecos[i / 2], world, whichs[i % 2]);
+    });
+  }
+  pool.run_batch(cold_tasks);
 
   // Warm pass: one checkpoint per experiment on the planted ecosystem.
   // The stripped-ecosystem runs hand run(base) an incompatible checkpoint
   // (different ecosystem object) and fall back to cold runs — exercising
   // the guard that keeps a fork from silently crossing worlds.
   core::ExperimentController::BaselineCheckpoint bases[2];
-  timer.timed("baseline_checkpoint", [&] {
-    for (std::size_t e = 0; e < 2; ++e) {
-      core::ExperimentConfig config;
-      config.experiment = whichs[e];
-      config.seed = whichs[e] == core::ReExperiment::kSurf ? 501 : 502;
-      config.auto_plant_outages = false;
-      bases[e] = core::ExperimentController(world.ecosystem,
-                                            world.selection.seeds, config)
-                     .checkpoint_baseline();
-    }
-  });
+  for (std::size_t e = 0; e < 2; ++e) {
+    core::ExperimentConfig config;
+    config.experiment = whichs[e];
+    config.seed = whichs[e] == core::ReExperiment::kSurf ? 501 : 502;
+    config.auto_plant_outages = false;
+    bases[e] = core::ExperimentController(world.ecosystem,
+                                          world.selection.seeds, config)
+                   .checkpoint_baseline();
+  }
   core::ExperimentResult warm_runs[4];
-  timer.timed(
-      "variants_warm",
-      [&] {
-        std::vector<std::function<void()>> tasks;
-        for (std::size_t i = 0; i < 4; ++i) {
-          tasks.push_back([&, i] {
-            core::ExperimentConfig config;
-            config.experiment = whichs[i % 2];
-            config.seed =
-                whichs[i % 2] == core::ReExperiment::kSurf ? 501 : 502;
-            config.auto_plant_outages = false;
-            warm_runs[i] = core::ExperimentController(*ecos[i / 2],
-                                                      world.selection.seeds,
-                                                      config)
-                               .run(bases[i % 2]);
-          });
-        }
-        pool.run_batch(tasks);
-      },
-      pool.thread_count());
+  std::vector<std::function<void()>> warm_tasks;
+  for (std::size_t i = 0; i < 4; ++i) {
+    warm_tasks.push_back([&, i] {
+      core::ExperimentConfig config;
+      config.experiment = whichs[i % 2];
+      config.seed =
+          whichs[i % 2] == core::ReExperiment::kSurf ? 501 : 502;
+      config.auto_plant_outages = false;
+      warm_runs[i] = core::ExperimentController(*ecos[i / 2],
+                                                world.selection.seeds,
+                                                config)
+                         .run(bases[i % 2]);
+    });
+  }
+  pool.run_batch(warm_tasks);
   for (std::size_t i = 0; i < 4; ++i) {
     if (core::result_digest(cold_runs[i]) !=
         core::result_digest(warm_runs[i])) {
@@ -156,9 +142,7 @@ int main() {
     }
   }
   std::printf("warm start: 2 forked + 2 incompatible-fallback runs"
-              " digest-identical to cold runs\n");
-  std::printf("propagation: %s\n\n",
-              warm_runs[0].propagation_perf.summary().c_str());
+              " digest-identical to cold runs\n\n");
 
   std::vector<core::PrefixInference> runs[4];
   for (std::size_t i = 0; i < 4; ++i) {

@@ -10,14 +10,12 @@
 #include <map>
 #include <vector>
 
-#include "bench/timing.h"
 #include "bench/world.h"
 #include "core/classifier.h"
 #include "runtime/thread_pool.h"
 
 int main() {
   using namespace re;
-  bench::BenchTimer timer("bench_ablation_vp_diversity");
 
   topo::EcosystemParams params;
   const double scale = bench::bench_scale();
@@ -44,44 +42,32 @@ int main() {
         probing::select_probe_seeds(ecosystem, db, 11, target_counts[i]);
   }
   core::ExperimentResult cold_runs[3];
-  timer.timed(
-      "variants",
-      [&] {
-        std::vector<std::function<void()>> tasks;
-        for (std::size_t i = 0; i < 3; ++i) {
-          tasks.push_back([&, i] {
-            cold_runs[i] = core::ExperimentController(
-                               ecosystem, selections[i].seeds, variant_config())
-                               .run();
-          });
-        }
-        pool.run_batch(tasks);
-      },
-      pool.thread_count());
+  std::vector<std::function<void()>> cold_tasks;
+  for (std::size_t i = 0; i < 3; ++i) {
+    cold_tasks.push_back([&, i] {
+      cold_runs[i] = core::ExperimentController(
+                         ecosystem, selections[i].seeds, variant_config())
+                         .run();
+    });
+  }
+  pool.run_batch(cold_tasks);
 
   // Warm pass: the §3.1 baseline never looks at the probe seeds, so all
   // three seed selections can fork one checkpoint.
-  core::ExperimentController::BaselineCheckpoint base;
-  timer.timed("baseline_checkpoint", [&] {
-    base = core::ExperimentController(ecosystem, selections[2].seeds,
-                                      variant_config())
-               .checkpoint_baseline();
-  });
+  const core::ExperimentController::BaselineCheckpoint base =
+      core::ExperimentController(ecosystem, selections[2].seeds,
+                                 variant_config())
+          .checkpoint_baseline();
   core::ExperimentResult warm_runs[3];
-  timer.timed(
-      "variants_warm",
-      [&] {
-        std::vector<std::function<void()>> tasks;
-        for (std::size_t i = 0; i < 3; ++i) {
-          tasks.push_back([&, i] {
-            warm_runs[i] = core::ExperimentController(
-                               ecosystem, selections[i].seeds, variant_config())
-                               .run(base);
-          });
-        }
-        pool.run_batch(tasks);
-      },
-      pool.thread_count());
+  std::vector<std::function<void()>> warm_tasks;
+  for (std::size_t i = 0; i < 3; ++i) {
+    warm_tasks.push_back([&, i] {
+      warm_runs[i] = core::ExperimentController(
+                         ecosystem, selections[i].seeds, variant_config())
+                         .run(base);
+    });
+  }
+  pool.run_batch(warm_tasks);
   for (std::size_t i = 0; i < 3; ++i) {
     if (core::result_digest(cold_runs[i]) != core::result_digest(warm_runs[i])) {
       std::printf("FAIL: variant %zu fork-vs-fresh digest mismatch\n", i);
@@ -89,9 +75,7 @@ int main() {
     }
   }
   std::printf("warm start: all 3 forked variants digest-identical to cold"
-              " runs\n");
-  std::printf("propagation: %s\n\n",
-              warm_runs[0].propagation_perf.summary().c_str());
+              " runs\n\n");
 
   std::vector<std::map<core::Inference, std::size_t>> results(3);
   for (std::size_t i = 0; i < 3; ++i) {

@@ -1,10 +1,12 @@
 // Google-benchmark microbenchmarks of the computational kernels: the BGP
 // decision process, speaker update processing, network propagation,
 // longest-prefix matching, return-path resolution, and the re_check
-// invariant suite (recorded as BENCH_results.json rows).
+// invariant suite.
 #include <benchmark/benchmark.h>
 
-#include <span>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
 
 #include "bgp/decision.h"
 #include "bgp/network.h"
@@ -17,7 +19,6 @@
 #include "io/results_io.h"
 #include "netbase/prefix_trie.h"
 #include "netbase/rng.h"
-#include "timing.h"
 #include "topology/ecosystem.h"
 
 namespace {
@@ -293,62 +294,69 @@ BENCHMARK(BM_UpdateLogEncode)->Arg(1000);
 
 // --- per-invariant check cost (re_check harness, DESIGN.md §5g) -----------
 //
-// Recorded as BenchTimer rows rather than Google benchmarks so the
-// invariant-cost trajectory rides BENCH_results.json with the other
-// benches: a check that silently goes quadratic shows up as a
-// wall-seconds jump in its row. The world is re_check's own seeded
-// fuzzing world, so the rows price exactly what the fuzzer pays per
-// round/op boundary.
-void record_invariant_costs() {
-  bench::BenchTimer timer("bench_micro");
+// One benchmark per invariant on re_check's own seeded fuzzing world, so
+// each row prices exactly what the fuzzer pays per round/op boundary: a
+// check that silently goes quadratic shows up as a jump in its row.
+struct InvariantWorld {
   check::WorldSpec spec;
-  const auto network = check::make_world(1, &spec);
+  std::unique_ptr<bgp::BgpNetwork> network = check::make_world(1, &spec);
   check::InvariantSuite suite;
-  const std::span<const net::Prefix> prefixes(spec.prefixes);
-  constexpr int kIters = 200;
-  const auto time_iters = [&](const char* scenario, auto&& fn) {
-    timer.timed(scenario, [&] {
-      for (int i = 0; i < kIters; ++i) {
-        if (const auto violation = fn(); violation.has_value()) {
-          std::fprintf(stderr, "[bench] invariant violated on healthy world: %s: %s\n",
-                       violation->invariant.c_str(), violation->detail.c_str());
-          std::exit(1);
-        }
-      }
-    });
-  };
-  time_iters("invariant_loop_freedom",
-             [&] { return suite.loop_freedom(*network); });
-  time_iters("invariant_decision_soundness",
-             [&] { return suite.decision_soundness(*network); });
-  time_iters("invariant_export_safety",
-             [&] { return suite.export_safety(*network); });
-  time_iters("invariant_epoch_coherence",
-             [&] { return suite.epoch_coherence(*network, prefixes); });
-  time_iters("invariant_snapshot_roundtrip",
-             [&] { return suite.snapshot_roundtrip(*network); });
   std::vector<net::Asn> terminals;
-  for (const net::Asn asn : network->asns()) {
-    if (asn != spec.squatter &&
-        network->speaker(asn)->originates(spec.prefixes[0])) {
-      terminals.push_back(asn);
+  std::unique_ptr<dataplane::CatchmentFib> fib;
+
+  InvariantWorld() {
+    for (const net::Asn asn : network->asns()) {
+      if (asn != spec.squatter &&
+          network->speaker(asn)->originates(spec.prefixes[0])) {
+        terminals.push_back(asn);
+      }
+    }
+    fib = std::make_unique<dataplane::CatchmentFib>(
+        *network, spec.prefixes[0], terminals);
+  }
+};
+
+// One world shared by every row (each BM_Invariant instantiation would
+// otherwise build its own).
+InvariantWorld& invariant_world() {
+  static InvariantWorld world;
+  return world;
+}
+
+template <typename Check>
+void BM_Invariant(benchmark::State& state, Check check) {
+  InvariantWorld& world = invariant_world();
+  for (auto _ : state) {
+    if (const auto violation = check(world); violation.has_value()) {
+      std::fprintf(stderr, "[bench] invariant violated on healthy world: %s: %s\n",
+                   violation->invariant.c_str(), violation->detail.c_str());
+      std::exit(1);
     }
   }
-  dataplane::CatchmentFib fib(*network, spec.prefixes[0], terminals);
-  time_iters("invariant_fib_agreement", [&] {
-    return suite.fib_agreement(*network, spec.prefixes[0], terminals, fib);
-  });
-  time_iters("invariant_decision_conformance",
-             [&] { return suite.decision_conformance(); });
 }
+BENCHMARK_CAPTURE(BM_Invariant, loop_freedom, [](InvariantWorld& w) {
+  return w.suite.loop_freedom(*w.network);
+});
+BENCHMARK_CAPTURE(BM_Invariant, decision_soundness, [](InvariantWorld& w) {
+  return w.suite.decision_soundness(*w.network);
+});
+BENCHMARK_CAPTURE(BM_Invariant, export_safety, [](InvariantWorld& w) {
+  return w.suite.export_safety(*w.network);
+});
+BENCHMARK_CAPTURE(BM_Invariant, epoch_coherence, [](InvariantWorld& w) {
+  return w.suite.epoch_coherence(*w.network, w.spec.prefixes);
+});
+BENCHMARK_CAPTURE(BM_Invariant, snapshot_roundtrip, [](InvariantWorld& w) {
+  return w.suite.snapshot_roundtrip(*w.network);
+});
+BENCHMARK_CAPTURE(BM_Invariant, fib_agreement, [](InvariantWorld& w) {
+  return w.suite.fib_agreement(*w.network, w.spec.prefixes[0], w.terminals,
+                               *w.fib);
+});
+BENCHMARK_CAPTURE(BM_Invariant, decision_conformance, [](InvariantWorld& w) {
+  return w.suite.decision_conformance();
+});
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  record_invariant_costs();
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "bench/timing.h"
 #include "bench/world.h"
 #include "core/classifier.h"
 #include "runtime/env.h"
@@ -55,7 +54,6 @@ std::string fingerprint(const re::core::Table1& table) {
 
 int main() {
   using namespace re;
-  bench::BenchTimer timer("bench_seeds");
   const bench::World world = bench::make_world();
   const probing::SelectionStats& s = world.selection.stats;
 
@@ -112,7 +110,6 @@ int main() {
       serial[trial] = run_trial(world, master, trial);
     }
   });
-  timer.record("multi_seed_serial", serial_seconds, 1);
 
   std::vector<core::Table1> parallel(trials);
   runtime::ThreadPool pool(threads);
@@ -121,9 +118,8 @@ int main() {
       parallel[trial] = run_trial(world, master, trial);
     });
   });
-  // Record the pool's actual worker count, not the requested one — a
-  // 1-core container clamps the pool and the row must say so.
-  timer.record("multi_seed_parallel", parallel_seconds, pool.thread_count());
+  // Report the pool's actual worker count, not the requested one — a
+  // 1-core container clamps the pool and the line must say so.
   std::printf(
       "serial %.3fs, parallel %.3fs on %zu worker(s): %.2fx speedup\n",
       serial_seconds, parallel_seconds, pool.thread_count(),
@@ -193,7 +189,6 @@ int main() {
                                .run();
       }
     });
-    timer.record("fullrib_trials_cold", cold_seconds);
 
     core::ExperimentController::BaselineCheckpoint base;
     const double checkpoint_seconds = wall([&] {
@@ -201,7 +196,6 @@ int main() {
                                         trial_config(0))
                  .checkpoint_baseline();
     });
-    timer.record("fullrib_baseline_checkpoint", checkpoint_seconds);
 
     std::vector<core::ExperimentResult> warm_runs(warm_trials);
     const double warm_seconds = wall([&] {
@@ -211,7 +205,6 @@ int main() {
                                .run(base);
       }
     });
-    timer.record("fullrib_trials_warm", warm_seconds);
 
     for (std::size_t trial = 0; trial < warm_trials; ++trial) {
       const std::uint64_t cold = core::result_digest(cold_runs[trial]);

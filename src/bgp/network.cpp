@@ -1,7 +1,6 @@
 #include "bgp/network.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <span>
 #include <utility>
@@ -12,12 +11,6 @@
 namespace re::bgp {
 
 namespace {
-
-using WallClock = std::chrono::steady_clock;
-
-double seconds_since(WallClock::time_point start) {
-  return std::chrono::duration<double>(WallClock::now() - start).count();
-}
 
 // Deterministic per-session router id derived from the two ASNs, so that
 // the final tie-break is reproducible without global coordination.
@@ -57,6 +50,19 @@ std::vector<net::Asn> BgpNetwork::asns() const {
   for (const auto& s : speakers_) out.push_back(s->asn());
   std::sort(out.begin(), out.end());
   return out;
+}
+
+net::FlatMap<net::Asn, std::size_t>::ProbeStats BgpNetwork::map_probe_stats()
+    const {
+  net::FlatMap<net::Asn, std::size_t>::ProbeStats total;
+  const auto add = [&](const auto& stats) {
+    total.lookups += stats.lookups;
+    total.probes += stats.probes;
+  };
+  add(index_.probe_stats());
+  add(rib_.probe_stats());
+  add(collector_peers_.probe_stats());
+  return total;
 }
 
 void BgpNetwork::reserve_topology(std::size_t speakers) {
@@ -350,7 +356,6 @@ void BgpNetwork::deliver(const PendingMessage& msg, ConvergenceStats& stats,
   Speaker* to = speaker(msg.to);
   if (to == nullptr) return;
   ++stats.messages_delivered;
-  touched_speakers_.insert(msg.to);
   const bool changed = to->receive(msg.from, msg.update, now);
   if (changed) {
     ++stats.best_changes;
@@ -373,19 +378,14 @@ ConvergenceStats BgpNetwork::run_until(net::SimTime deadline) {
 
 ConvergenceStats BgpNetwork::run_channels(std::span<const std::uint32_t> scope,
                                           bool full, net::SimTime deadline) {
-  const auto wall_start = WallClock::now();
   obs::SpanGuard run_span(full ? "converge.run" : "converge.run_scoped");
   ConvergenceStats stats;
-  touched_speakers_.reset();
+  std::uint64_t rounds = 0;
 
   // Seed the active-head heap from the scoped channels.
   active_ = {};
-  std::size_t scoped_pending = 0;
-  std::size_t scoped_channels = 0;
   const auto seed = [&](std::uint32_t id) {
     const Channel& channel = channels_[id];
-    ++scoped_channels;
-    scoped_pending += channel.queue.size();
     if (!channel.queue.empty()) {
       const PendingMessage& head = channel.queue.top();
       active_.push(ActiveHead{head.deliver_at, head.seq, id});
@@ -398,8 +398,6 @@ ConvergenceStats BgpNetwork::run_channels(std::span<const std::uint32_t> scope,
   } else {
     for (const std::uint32_t id : scope) seed(id);
   }
-  stats.perf.prefixes_dirty = scoped_channels;
-  stats.perf.messages_skipped_by_scope = total_pending_ - scoped_pending;
   run_active_ = true;
 
   while (!active_.empty()) {
@@ -448,7 +446,7 @@ ConvergenceStats BgpNetwork::run_channels(std::span<const std::uint32_t> scope,
               [](const PendingMessage& a, const PendingMessage& b) {
                 return a.seq < b.seq;
               });
-    ++stats.perf.rounds;
+    ++rounds;
     // Round-size distribution (p50/p95/p99 in the metrics dump).
     static auto& round_messages =
         obs::registry().histogram("converge.round_messages");
@@ -469,7 +467,7 @@ ConvergenceStats BgpNetwork::run_channels(std::span<const std::uint32_t> scope,
     }
     // Round boundary: deliveries done, heads re-seeded — the network is
     // consistent and observers (the re_check invariant suite) may read it.
-    if (round_observer_) round_observer_(tick, stats.perf.rounds);
+    if (round_observer_) round_observer_(tick, rounds);
   }
   run_active_ = false;
   active_ = {};
@@ -484,31 +482,7 @@ ConvergenceStats BgpNetwork::run_channels(std::span<const std::uint32_t> scope,
     }
   }
 
-  stats.perf.messages_delivered = stats.messages_delivered;
-  stats.perf.speakers_touched = touched_speakers_.size();
-  stats.perf.interned_paths = paths_.size();
-  stats.perf.arena_bytes = paths_.arena_bytes();
-  stats.perf.checkpoints = checkpoints_;
-  stats.perf.forks = forked_ ? 1 : 0;
-  stats.perf.arena_shared_bytes = paths_.frozen_bytes();
-  // Probe-length deltas over the network-level flat maps for this run.
-  std::uint64_t lookups = 0, probes = 0;
-  const auto add = [&](const auto& s) {
-    lookups += s.lookups;
-    probes += s.probes;
-  };
-  add(index_.probe_stats());
-  add(rib_.probe_stats());
-  add(collector_peers_.probe_stats());
-  stats.perf.map_lookups = lookups - reported_lookups_;
-  stats.perf.map_probes = probes - reported_probes_;
-  reported_lookups_ = lookups;
-  reported_probes_ = probes;
-  stats.perf.wall_seconds = seconds_since(wall_start);
   run_span.set_arg("messages", stats.messages_delivered);
-  // Fold this run's snapshot into the process-wide registry; telemetry
-  // only, the simulation never reads it back.
-  runtime::publish_perf_metrics(stats.perf);
   return stats;
 }
 

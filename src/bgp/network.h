@@ -61,7 +61,6 @@
 #include "netbase/clock.h"
 #include "netbase/flat_map.h"
 #include "netbase/rng.h"
-#include "runtime/perf_counters.h"
 
 namespace re::bgp {
 
@@ -75,9 +74,6 @@ struct ConvergenceStats {
   net::SimTime converged_at = 0;
   // True when the queue drained (no updates remain in flight).
   bool fully_converged = false;
-  // Hot-path counters for this run (gauges like interned_paths/arena_bytes
-  // are whole-network snapshots; counters are deltas for this run).
-  runtime::PerfCounters perf;
 };
 
 class BgpNetwork {
@@ -107,6 +103,11 @@ class BgpNetwork {
   bool contains(net::Asn asn) const { return index_.count(asn) != 0; }
   std::vector<net::Asn> asns() const;
   std::size_t speaker_count() const noexcept { return speakers_.size(); }
+
+  // Open-addressing lookups and probe steps summed over the network-level
+  // maps (speaker index, prefix slots, collector peers), cumulative over
+  // their lifetime. Healthy tables stay below ~1.5 probes per lookup.
+  net::FlatMap<net::Asn, std::size_t>::ProbeStats map_probe_stats() const;
 
   // --- Dense AS indexing ---------------------------------------------------
 
@@ -245,6 +246,7 @@ class BgpNetwork {
   // column: a checkpoint copies one handle per prefix, and this network
   // clones a column the next time it writes it. Freezing preserves every
   // PathId, so taking a checkpoint never perturbs subsequent results.
+  // Each call adds one to the "snapshot.checkpoints" registry counter.
   Snapshot checkpoint();
 
   // Replaces this network's state with the snapshot's (the clock rewinds
@@ -253,9 +255,10 @@ class BgpNetwork {
 
   // Content digest over the canonical serialization of the full state —
   // equal to checkpoint().digest(), computed from the live state without
-  // taking a checkpoint (no freeze, no column sharing, no
-  // perf.checkpoints count). The bit-identity contract: a forked run and
-  // a fresh run that executed the same schedule produce equal digests.
+  // taking a checkpoint (no freeze, no column sharing, no count in the
+  // "snapshot.checkpoints" registry counter). The bit-identity contract: a
+  // forked run and a fresh run that executed the same schedule produce
+  // equal digests.
   std::uint64_t state_digest() const;
 
   // Content digest over everything the network knows about one prefix:
@@ -395,7 +398,6 @@ class BgpNetwork {
   std::priority_queue<ActiveHead, std::vector<ActiveHead>, HeadLaterFirst>
       active_;
   std::vector<std::uint32_t> touched_channels_;
-  net::FlatSet<net::Asn> touched_speakers_;  // per-run distinct destinations
   bool run_active_ = false;  // enqueue feeds active_ only during a run
   RoundObserver round_observer_;  // round-boundary hook (see setter)
 
@@ -403,14 +405,6 @@ class BgpNetwork {
   UpdateLog log_;
 
   std::vector<PendingMessage> round_;  // current round, seq order (scratch)
-
-  // Snapshots for reporting per-run probe-stat deltas in ConvergenceStats.
-  std::uint64_t reported_lookups_ = 0;
-  std::uint64_t reported_probes_ = 0;
-
-  // Checkpoint/fork provenance, surfaced through ConvergenceStats::perf.
-  std::uint64_t checkpoints_ = 0;  // snapshots taken from this network
-  bool forked_ = false;            // this network was restored from one
 
   // Bumped by restore(): channel epochs are rebuilt from scratch there,
   // so the generation keeps prefix_epoch() values from ever repeating

@@ -26,6 +26,7 @@
 
 #include "bgp/network.h"
 #include "netbase/binio.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace re::bgp {
@@ -67,7 +68,8 @@ BgpNetwork::Snapshot BgpNetwork::checkpoint() {
   rib_.share(snap.prefixes, snap.columns);
   snap.collector_peers = collector_peers_;
   snap.log = log_;
-  ++checkpoints_;
+  static auto& checkpoints = obs::registry().counter("snapshot.checkpoints");
+  checkpoints.add();
   return snap;
 }
 
@@ -102,19 +104,6 @@ void BgpNetwork::restore(const Snapshot& snap) {
   next_seq_ = snap.next_seq;
   collector_peers_ = snap.collector_peers;
   log_ = snap.log;
-  forked_ = true;
-  // Rebase the probe-stat delta baselines on the restored maps' carried
-  // counters, so the next run reports only its own lookups.
-  std::uint64_t lookups = 0, probes = 0;
-  const auto add = [&](const auto& stats) {
-    lookups += stats.lookups;
-    probes += stats.probes;
-  };
-  add(index_.probe_stats());
-  add(rib_.probe_stats());
-  add(collector_peers_.probe_stats());
-  reported_lookups_ = lookups;
-  reported_probes_ = probes;
 }
 
 namespace {

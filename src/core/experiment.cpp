@@ -1,7 +1,6 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -256,7 +255,6 @@ ExperimentResult ExperimentController::run_rounds(Setup setup,
       // work and the outcome is bit-identical to a full sweep (round 0's
       // dirty set is empty: a no-op).
       const bgp::ConvergenceStats stats = network.run_dirty_to_convergence();
-      result.propagation_perf += stats.perf;
       window.converged_at = stats.converged_at;
       window.converged = true;
       // Probe one hour after the change.
@@ -268,7 +266,6 @@ ExperimentResult ExperimentController::run_rounds(Setup setup,
       const net::SimTime probe_at =
           window.config_applied + config_.convergence_wait;
       const bgp::ConvergenceStats stats = network.run_until(probe_at);
-      result.propagation_perf += stats.perf;
       // converged_at is the last *delivered* update, not the probe time
       // the clock advances to next — a window that never settled must not
       // report a settle timestamp it never reached.
@@ -307,13 +304,8 @@ ExperimentResult ExperimentController::run_rounds(Setup setup,
       return iface == nullptr ? std::nullopt
                               : std::optional<int>(iface->vlan_id);
     };
-    const auto probe_wall_start = std::chrono::steady_clock::now();
     probing::RoundResult round_result =
         state.prober.run_round(seeds_, target_resolver, network.clock(), pool_);
-    result.propagation_perf.probe_resolve_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      probe_wall_start)
-            .count();
     window.probe_end = network.clock().now();
 
     for (std::size_t i = 0; i < round_result.prefixes.size(); ++i) {
@@ -331,9 +323,6 @@ ExperimentResult ExperimentController::run_rounds(Setup setup,
       if (config_.abort_after_round == static_cast<int>(round)) {
         // CI kill simulation: the checkpoint is on disk; a resume run
         // completes the sweep digest-identically.
-        result.propagation_perf.fib_compiles += fib.compiles();
-        result.propagation_perf.fib_hits += fib.hits();
-        result.propagation_perf.fib_invalidations += fib.invalidations();
         return std::move(result);
       }
     }
@@ -341,9 +330,6 @@ ExperimentResult ExperimentController::run_rounds(Setup setup,
 
   result.experiment_end = network.clock().now();
   result.update_log = std::move(network.update_log());
-  result.propagation_perf.fib_compiles += fib.compiles();
-  result.propagation_perf.fib_hits += fib.hits();
-  result.propagation_perf.fib_invalidations += fib.invalidations();
   return std::move(result);
 }
 

@@ -19,7 +19,6 @@
 #include "probing/host.h"
 #include "probing/prober.h"
 #include "probing/seeds.h"
-#include "runtime/perf_counters.h"
 #include "runtime/thread_pool.h"
 #include "topology/ecosystem.h"
 
@@ -153,13 +152,6 @@ struct ExperimentResult {
   net::SimTime experiment_start = 0;
   net::SimTime re_phase_end = 0;
   net::SimTime experiment_end = 0;
-
-  // Propagation-side perf counters accumulated over every convergence run
-  // the rounds performed (dirty-prefix counts, scope skips, delivery
-  // fan-out). Diagnostics only: excluded from result_digest and the
-  // checkpoint codec, so warm/cold/incremental runs stay digest-equal
-  // while reporting different counter values.
-  runtime::PerfCounters propagation_perf;
 };
 
 // Runs one experiment end to end on a freshly built network.

@@ -2,6 +2,7 @@
 
 #include <array>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace re::dataplane {
@@ -28,6 +29,8 @@ bool CatchmentFib::refresh() {
   epoch_ = epoch;
   compiled_ = true;
   ++compiles_;
+  static auto& compiles = obs::registry().counter("fib.compiles");
+  compiles.add();
   return true;
 }
 
@@ -160,7 +163,6 @@ void CatchmentFib::compile() {
 }
 
 CatchmentFib::Attribution CatchmentFib::attribution(net::Asn source) const {
-  hits_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t idx = dense_index(source);
   if (idx == kNoIndex) {
     // No speaker: the walker still terminal-checks the source itself.
@@ -275,7 +277,6 @@ ReturnPath CatchmentFib::resolve(net::Asn source) const {
 }
 
 void CatchmentFib::resolve(net::Asn source, ReturnPath& out) const {
-  hits_.fetch_add(1, std::memory_order_relaxed);
   out.reachable = false;
   out.terminal = net::Asn{};
   out.used_default_route = false;

@@ -39,7 +39,6 @@
 // op.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -141,13 +140,10 @@ class CatchmentFib {
   std::span<const net::Asn> terminals() const noexcept { return terminals_; }
   bool compiled() const noexcept { return compiled_; }
 
-  // Counters for PerfCounters/bench surfacing: table compiles, refreshes
-  // that found a moved epoch, and queries answered from a compiled table.
+  // Table compiles and refreshes that found a moved epoch. Compiles also
+  // add to the process-wide "fib.compiles" registry counter.
   std::uint64_t compiles() const noexcept { return compiles_; }
   std::uint64_t invalidations() const noexcept { return invalidations_; }
-  std::uint64_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
 
  private:
   static constexpr std::uint32_t kNoNext = 0xFFFFFFFFu;
@@ -192,7 +188,6 @@ class CatchmentFib {
   std::uint64_t epoch_ = 0;
   std::uint64_t compiles_ = 0;
   std::uint64_t invalidations_ = 0;
-  mutable std::atomic<std::uint64_t> hits_{0};
 };
 
 }  // namespace re::dataplane

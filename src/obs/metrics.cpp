@@ -6,44 +6,6 @@
 #include <cstdlib>
 
 namespace re::obs {
-namespace {
-
-// Metric names are dotted identifiers, but escape defensively anyway so
-// a stray quote can never produce unparseable JSON.
-void append_json_string(std::string& out, std::string_view text) {
-  out.push_back('"');
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-}  // namespace
 
 std::size_t Histogram::bucket_index(std::uint64_t value) noexcept {
   if (value < kLinearBuckets) return static_cast<std::size_t>(value);
@@ -88,13 +50,6 @@ std::uint64_t Histogram::quantile(double q) const noexcept {
   return max();
 }
 
-void Histogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
-}
-
 MetricsRegistry::Entry& MetricsRegistry::entry(std::string_view name,
                                                Kind kind) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -115,7 +70,6 @@ MetricsRegistry::Entry& MetricsRegistry::entry(std::string_view name,
   e->kind = kind;
   switch (kind) {
     case Kind::kCounter: e->counter = std::make_unique<Counter>(); break;
-    case Kind::kGauge: e->gauge = std::make_unique<Gauge>(); break;
     case Kind::kHistogram: e->histogram = std::make_unique<Histogram>(); break;
   }
   entries_.push_back(std::move(e));
@@ -124,10 +78,6 @@ MetricsRegistry::Entry& MetricsRegistry::entry(std::string_view name,
 
 Counter& MetricsRegistry::counter(std::string_view name) {
   return *entry(name, Kind::kCounter).counter;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name) {
-  return *entry(name, Kind::kGauge).gauge;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name) {
@@ -144,10 +94,6 @@ std::string MetricsRegistry::render() const {
         std::snprintf(buf, sizeof(buf), "%-44s %" PRIu64 "\n",
                       e->name.c_str(), e->counter->value());
         break;
-      case Kind::kGauge:
-        std::snprintf(buf, sizeof(buf), "%-44s %.6g\n", e->name.c_str(),
-                      e->gauge->value());
-        break;
       case Kind::kHistogram: {
         const auto& h = *e->histogram;
         std::snprintf(buf, sizeof(buf),
@@ -161,58 +107,6 @@ std::string MetricsRegistry::render() const {
     out += buf;
   }
   return out;
-}
-
-std::string MetricsRegistry::render_json() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{\n  \"metrics\": [";
-  bool first = true;
-  for (const auto& e : entries_) {
-    out += first ? "\n    {" : ",\n    {";
-    first = false;
-    out += "\"name\": ";
-    append_json_string(out, e->name);
-    switch (e->kind) {
-      case Kind::kCounter:
-        out += ", \"kind\": \"counter\", \"value\": ";
-        append_u64(out, e->counter->value());
-        break;
-      case Kind::kGauge:
-        out += ", \"kind\": \"gauge\", \"value\": ";
-        append_double(out, e->gauge->value());
-        break;
-      case Kind::kHistogram: {
-        const auto& h = *e->histogram;
-        out += ", \"kind\": \"histogram\", \"count\": ";
-        append_u64(out, h.count());
-        out += ", \"sum\": ";
-        append_u64(out, h.sum());
-        out += ", \"max\": ";
-        append_u64(out, h.max());
-        out += ", \"p50\": ";
-        append_u64(out, h.quantile(0.50));
-        out += ", \"p95\": ";
-        append_u64(out, h.quantile(0.95));
-        out += ", \"p99\": ";
-        append_u64(out, h.quantile(0.99));
-        break;
-      }
-    }
-    out += "}";
-  }
-  out += "\n  ]\n}\n";
-  return out;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& e : entries_) {
-    switch (e->kind) {
-      case Kind::kCounter: e->counter->reset(); break;
-      case Kind::kGauge: e->gauge->reset(); break;
-      case Kind::kHistogram: e->histogram->reset(); break;
-    }
-  }
 }
 
 MetricsRegistry& registry() {

@@ -1,10 +1,11 @@
-// Typed metrics registry: named counters, gauges, and log-bucketed
-// histograms, registered once and incremented with relaxed atomics.
+// Typed metrics registry: named counters and log-bucketed histograms,
+// registered once and incremented with relaxed atomics.
 //
-// The registry is the process-wide aggregation point the benches and the
-// survey binaries dump at exit. It deliberately lives *outside* the
-// simulation: metrics are observed effects (messages delivered, rounds
-// converged, span durations), never inputs, so the registry can aggregate
+// The registry is the process-wide aggregation point: instruments live at
+// the call site that produces the value, and a traced re_survey dumps the
+// registry at exit. It deliberately lives *outside* the simulation:
+// metrics are observed effects (messages delivered, rounds converged,
+// span durations), never inputs, so the registry can aggregate
 // across networks and threads without touching determinism — two runs
 // that differ only in what they recorded here are still bit-identical
 // where it counts (state digests, result digests).
@@ -35,32 +36,9 @@ class Counter {
   std::uint64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-// Last-written (or maximum) level: table sizes, worker widths, arena
-// bytes. Doubles so time-valued gauges fit too.
-class Gauge {
- public:
-  void set(double v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  // Keeps the larger of the current and the offered value — the "+="
-  // convention PerfCounters uses for whole-network snapshot fields.
-  void set_max(double v) noexcept {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !value_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-  }
-  double value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
-  }
-  void reset() noexcept { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
 };
 
 // Log-bucketed histogram over non-negative integer samples (counts,
@@ -107,8 +85,6 @@ class Histogram {
   // exact for values < 16, within 25% above. 0 when empty.
   std::uint64_t quantile(double q) const noexcept;
 
-  void reset() noexcept;
-
  private:
   std::atomic<std::uint64_t> buckets_[kBucketCount] = {};
   std::atomic<std::uint64_t> count_{0};
@@ -124,27 +100,17 @@ class Histogram {
 class MetricsRegistry {
  public:
   Counter& counter(std::string_view name);
-  Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
 
   // Human-readable dump, one instrument per line, registration order.
   std::string render() const;
 
-  // JSON dump: {"metrics": [{"kind": ..., "name": ..., ...}, ...]}.
-  // Histograms carry count/sum/max/p50/p95/p99.
-  std::string render_json() const;
-
-  // Zeroes every registered instrument (tests and bench reruns). Names
-  // and references stay valid.
-  void reset();
-
  private:
-  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
+  enum class Kind : std::uint8_t { kCounter, kHistogram };
   struct Entry {
     std::string name;
     Kind kind;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
 

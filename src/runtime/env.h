@@ -8,6 +8,11 @@
 // reject malformed values loudly (stderr + exit) instead of guessing,
 // because a multi-hour sweep run under the wrong knob is worse than no
 // sweep at all.
+//
+// The knobs read through here: RE_THREADS (pool width), RE_SCALE (bench
+// world size), RE_TRIALS and RE_WARM_TRIALS (bench_seeds sweeps),
+// RE_CHECK_SECONDS (re_check's seed-loop budget) and RE_TRACE
+// (re_survey/re_check span trace path).
 #pragma once
 
 #include <cstddef>

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "bgp/network.h"
-#include "runtime/perf_counters.h"
 #include "topology/ecosystem.h"
 
 namespace re::bgp {
@@ -297,22 +296,25 @@ TEST(BgpNetwork, ProbeLengthsStayHealthy) {
   const topo::Ecosystem eco = topo::Ecosystem::generate(params);
   BgpNetwork network(424243);
   eco.build_network(network);
-  runtime::PerfCounters perf;
   std::size_t swept = 0;
   for (const topo::PrefixRecord& rec : eco.prefixes()) {
     if (swept == 4) break;
     if (rec.covered) continue;
     ++swept;
     network.announce(rec.origin, rec.prefix);
-    perf += network.run_to_convergence().perf;
+    network.run_to_convergence();
     network.set_origin_prepend(rec.origin, rec.prefix, 2);
-    perf += network.run_to_convergence().perf;
+    network.run_to_convergence();
     network.withdraw(rec.origin, rec.prefix);
-    perf += network.run_to_convergence().perf;
+    network.run_to_convergence();
     network.clear_prefix(rec.prefix);
   }
-  EXPECT_GT(perf.avg_probe_length(), 0.0);
-  EXPECT_LT(perf.avg_probe_length(), 2.0);
+  const auto stats = network.map_probe_stats();
+  ASSERT_GT(stats.lookups, 0u);
+  const double avg_probe_length = static_cast<double>(stats.probes) /
+                                  static_cast<double>(stats.lookups);
+  EXPECT_GE(avg_probe_length, 1.0);
+  EXPECT_LT(avg_probe_length, 2.0);
 }
 
 }  // namespace

@@ -40,24 +40,12 @@ std::string slurp(const std::string& path) {
   return text;
 }
 
-TEST(ObsMetrics, CounterAndGaugeBasics) {
+TEST(ObsMetrics, CounterBasics) {
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.add();
   c.add(41);
   EXPECT_EQ(c.value(), 42u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-
-  Gauge g;
-  g.set(2.5);
-  EXPECT_DOUBLE_EQ(g.value(), 2.5);
-  g.set_max(1.0);  // smaller: must not win
-  EXPECT_DOUBLE_EQ(g.value(), 2.5);
-  g.set_max(7.0);
-  EXPECT_DOUBLE_EQ(g.value(), 7.0);
-  g.set(3.0);  // plain set is last-wins, even downward
-  EXPECT_DOUBLE_EQ(g.value(), 3.0);
 }
 
 TEST(ObsMetrics, RegistryReturnsStableIdempotentReferences) {

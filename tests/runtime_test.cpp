@@ -11,9 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "netbase/rng.h"
-#include "obs/metrics.h"
 #include "runtime/env.h"
-#include "runtime/perf_counters.h"
 #include "runtime/rng_streams.h"
 #include "runtime/thread_pool.h"
 
@@ -247,66 +245,6 @@ TEST(EnvParseDeathTest, BlankStringKnobAbortsLoudly) {
   EXPECT_EXIT(env_string("RE_TEST_KNOB", "fallback"),
               ::testing::ExitedWithCode(2), "RE_TEST_KNOB");
   ::unsetenv("RE_TEST_KNOB");
-}
-
-// Pins the aggregation semantics of operator+= for the fields PRs 3-6
-// added. Two classes, chosen deliberately:
-//   - deltas (forks, probe_resolve_seconds, speakers_touched, ...) sum:
-//     folding N runs yields the total work the sweep paid for;
-//   - instance gauges (arena_shared_bytes, interned_paths, arena_bytes)
-//     take the max: they describe the network, not the run,
-//     so folding runs over the same network must not inflate them.
-// A regression here silently corrupts every bench summary line.
-TEST(PerfCountersTest, AggregationPinsSumVersusMaxSemantics) {
-  PerfCounters a;
-  a.messages_delivered = 100;
-  a.interned_paths = 50;
-  a.arena_bytes = 4096;
-  a.forks = 1;
-  a.arena_shared_bytes = 2048;
-  a.probe_resolve_seconds = 1.5;
-  a.speakers_touched = 30;
-  a.checkpoints = 2;
-
-  PerfCounters b;
-  b.messages_delivered = 10;
-  b.interned_paths = 40;   // smaller snapshot: must NOT win
-  b.arena_bytes = 8192;    // larger snapshot: must win
-  b.forks = 1;
-  b.arena_shared_bytes = 1024;  // smaller: must NOT win
-  b.probe_resolve_seconds = 0.25;
-  b.speakers_touched = 5;
-  b.checkpoints = 1;
-
-  a += b;
-  // Summed deltas.
-  EXPECT_EQ(a.messages_delivered, 110u);
-  EXPECT_EQ(a.forks, 2u);  // fork count across folded runs, not a flag
-  EXPECT_DOUBLE_EQ(a.probe_resolve_seconds, 1.75);
-  EXPECT_EQ(a.speakers_touched, 35u);  // documented over-count on repeats
-  EXPECT_EQ(a.checkpoints, 3u);
-  // Max'd instance gauges.
-  EXPECT_EQ(a.interned_paths, 50u);
-  EXPECT_EQ(a.arena_bytes, 8192u);
-  EXPECT_EQ(a.arena_shared_bytes, 2048u);
-}
-
-TEST(PerfCountersTest, PublishFoldsIntoRegistryLikeOperatorPlusEquals) {
-  PerfCounters perf;
-  perf.messages_delivered = 7;
-  perf.arena_shared_bytes = 512;
-  publish_perf_metrics(perf);
-  const std::uint64_t after_first =
-      obs::registry().counter("perf.messages_delivered").value();
-
-  PerfCounters second;
-  second.messages_delivered = 5;
-  second.arena_shared_bytes = 256;  // smaller: the gauge must keep 512
-  publish_perf_metrics(second);
-
-  EXPECT_EQ(obs::registry().counter("perf.messages_delivered").value(),
-            after_first + 5);
-  EXPECT_GE(obs::registry().gauge("perf.arena_shared_bytes").value(), 512.0);
 }
 
 }  // namespace
