@@ -218,17 +218,18 @@ void BM_ClassifyPrefix(benchmark::State& state) {
   core::PrefixObservation obs;
   obs.prefix = *net::Prefix::parse("128.0.0.0/24");
   obs.origin = net::Asn{50001};
+  std::vector<net::IPv4Address> systems;
+  for (std::uint64_t sys = 0; sys < 3; ++sys) {
+    systems.push_back(obs.prefix.address_at(sys + 1));
+  }
+  // Codes name the {commodity 18, R&E 17} pair: four commodity rounds,
+  // then R&E.
+  obs.rounds = probing::ProbeColumn(obs.prefix, obs.origin,
+                                    std::move(systems), {18, 17}, 9);
   for (int round = 0; round < 9; ++round) {
-    probing::PrefixRoundResult r;
-    r.prefix = obs.prefix;
-    for (int sys = 0; sys < 3; ++sys) {
-      probing::ProbeOutcome outcome;
-      outcome.address = obs.prefix.address_at(static_cast<std::uint64_t>(sys) + 1);
-      outcome.responded = true;
-      outcome.vlan_id = round < 4 ? 18 : 17;
-      r.outcomes.push_back(outcome);
+    for (probing::OutcomeCode& code : obs.rounds.add_round()) {
+      code = round < 4 ? 1 : 2;
     }
-    obs.rounds.push_back(std::move(r));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::classify_prefix(obs, 17));

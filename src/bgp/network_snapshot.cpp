@@ -81,6 +81,7 @@ void BgpNetwork::restore(const Snapshot& snap) {
   rib_.assign(snap.prefixes, snap.columns);
   speakers_.clear();
   index_.clear();
+  reserve_topology(snap.speakers.size());
   for (const Speaker::Snapshot& speaker : snap.speakers) {
     add_speaker(speaker.asn).restore(speaker);
   }
@@ -103,6 +104,7 @@ void BgpNetwork::restore(const Snapshot& snap) {
   }
   next_seq_ = snap.next_seq;
   collector_peers_ = snap.collector_peers;
+  collector_peers_.reserve(4 * collector_peers_.size());  // see add_collector_peer
   log_ = snap.log;
 }
 

@@ -29,9 +29,9 @@ std::string to_string(Inference inference) {
 
 RoundState round_state(const probing::PrefixRoundResult& round, int re_vlan) {
   bool saw_re = false, saw_commodity = false;
-  for (const probing::ProbeOutcome& outcome : round.outcomes) {
-    if (!outcome.responded) continue;
-    (outcome.vlan_id == re_vlan ? saw_re : saw_commodity) = true;
+  for (const probing::OutcomeCode code : round.outcomes.codes()) {
+    if (code == probing::kNoResponse) continue;
+    (round.outcomes.vlan_of(code) == re_vlan ? saw_re : saw_commodity) = true;
   }
   if (saw_re && saw_commodity) return RoundState::kMixed;
   if (saw_re) return RoundState::kRe;

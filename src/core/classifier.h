@@ -48,8 +48,8 @@ struct PrefixInference {
   std::optional<int> first_re_round;
 };
 
-// Collapses one round's per-system outcomes, given the experiment's R&E
-// VLAN id.
+// Collapses one round's per-system outcome codes, given the experiment's
+// R&E VLAN id.
 RoundState round_state(const probing::PrefixRoundResult& round, int re_vlan);
 
 // Classifies one prefix's full timeline per the §4 rules:

@@ -41,6 +41,60 @@ struct ExperimentController::RoundState {
   probing::Prober prober;
 };
 
+namespace {
+
+// Outcome codes of the experiment's VLAN pair, {commodity, R&E}.
+constexpr probing::OutcomeCode kCommodityCode = 1;
+constexpr probing::OutcomeCode kReCode = 2;
+
+probing::VlanPair result_vlans(const ExperimentResult& result) {
+  return {result.commodity_vlan, result.re_vlan};
+}
+
+// What the resolver needs that no round changes, built once per
+// experiment as dense arrays: a probe then costs one loss roll and one
+// compiled-FIB read at its source's dense speaker index.
+struct ProbePlan {
+  // Sentinels in `source` for the slow path: a §3.4 stance override
+  // re-selects the first hop, and a source outside the network has no
+  // dense index.
+  static constexpr std::uint32_t kStance = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNoSpeaker = 0xFFFFFFFEu;
+
+  std::vector<std::uint32_t> first_target;  // per prefix, into `source`
+  std::vector<std::uint32_t> source;        // per target, prefix-major
+  std::vector<int> flaky_round;             // per prefix; -1: never dark
+};
+
+ProbePlan make_probe_plan(const std::vector<probing::PrefixSeeds>& seeds,
+                          const bgp::BgpNetwork& network,
+                          const std::unordered_map<net::Prefix, int>& flaky) {
+  ProbePlan plan;
+  plan.first_target.reserve(seeds.size());
+  plan.flaky_round.reserve(seeds.size());
+  for (const probing::PrefixSeeds& s : seeds) {
+    plan.first_target.push_back(static_cast<std::uint32_t>(plan.source.size()));
+    const auto it = flaky.find(s.prefix);
+    plan.flaky_round.push_back(it == flaky.end() ? -1 : it->second);
+    for (const probing::ProbeTarget& target : s.targets) {
+      // §3.4: a per-prefix egress stance applies to the origin's own
+      // systems; interconnect addresses follow their owner's routing.
+      if (s.stance_override.has_value() && !target.routes_via.has_value()) {
+        plan.source.push_back(ProbePlan::kStance);
+        continue;
+      }
+      const std::size_t idx =
+          network.speaker_index(target.routes_via.value_or(s.origin));
+      plan.source.push_back(idx < ProbePlan::kNoSpeaker
+                                ? static_cast<std::uint32_t>(idx)
+                                : ProbePlan::kNoSpeaker);
+    }
+  }
+  return plan;
+}
+
+}  // namespace
+
 std::uint64_t ExperimentController::effective_baseline_seed() const {
   return config_.baseline_seed.value_or(config_.seed);
 }
@@ -198,20 +252,10 @@ ExperimentResult ExperimentController::run_rounds(Setup setup,
   bgp::BgpNetwork& network = *setup.network;
   const net::Prefix meas = result.measurement_prefix;
 
-  // Measurement host (Figure 2): the VLAN a response arrives on is keyed
-  // by the announcement endpoint the walk terminates at.
-  probing::MeasurementHost host(
-      result.measurement_prefix.address_at(63));  // 163.253.63.63
-  host.add_interface({result.commodity_vlan, "ens3f1np1.18", false,
-                      result.commodity_origin});
-  host.add_interface({result.re_vlan,
-                      config_.experiment == ReExperiment::kSurf
-                          ? "ens3f1np1.1001"
-                          : "ens3f1np1.17",
-                      true, result.re_origin});
-
-  // Observation storage parallel to seeds (already populated on resume).
+  // Observation storage parallel to seeds (already populated on resume),
+  // each column sized for the whole schedule up front.
   if (result.observations.empty()) {
+    const probing::VlanPair vlans = result_vlans(result);
     result.observations.reserve(seeds_.size());
     for (const probing::PrefixSeeds& s : seeds_) {
       PrefixObservation obs;
@@ -220,6 +264,8 @@ ExperimentResult ExperimentController::run_rounds(Setup setup,
       if (const topo::AsRecord* r = ecosystem_.directory().find(s.origin)) {
         obs.side = r->side;
       }
+      obs.rounds = probing::ProbeColumn::for_seeds(s, vlans,
+                                                   config_.schedule.size());
       result.observations.push_back(std::move(obs));
     }
   }
@@ -229,6 +275,19 @@ ExperimentResult ExperimentController::run_rounds(Setup setup,
   // the reference walker in src/check; SurveyDigestPin pins the result.
   dataplane::CatchmentFib fib(network, meas,
                               {result.commodity_origin, result.re_origin});
+  const ProbePlan plan = make_probe_plan(seeds_, network, state.flaky_round);
+  // The arrival VLAN (Figure 2) is keyed by the terminal a return path
+  // reaches: the commodity origin's VLAN is code 1, the R&E origin's 2.
+  const auto code_of =
+      [&](const dataplane::CatchmentFib::Attribution& attr) {
+        if (!attr.reachable) return probing::kNoResponse;
+        if (attr.terminal == result.commodity_origin) return kCommodityCode;
+        if (attr.terminal == result.re_origin) return kReCode;
+        return probing::kNoResponse;
+      };
+  const auto column_of = [&](std::size_t i) -> probing::ProbeColumn& {
+    return result.observations[i].rounds;
+  };
 
   for (std::size_t round = first_round; round < config_.schedule.size();
        ++round) {
@@ -283,35 +342,24 @@ ExperimentResult ExperimentController::run_rounds(Setup setup,
     // strictly read-only for the rest of the round.
     fib.refresh();
     const int flaky_check = static_cast<int>(round);
-    const probing::TargetResolver target_resolver =
-        [&](const probing::PrefixSeeds& seeds,
-            const probing::ProbeTarget& target) -> std::optional<int> {
-      if (const auto it = state.flaky_round.find(seeds.prefix);
-          it != state.flaky_round.end() && it->second == flaky_check) {
-        return std::nullopt;
+    const auto resolve = [&](std::size_t i,
+                             std::size_t t) -> probing::OutcomeCode {
+      if (plan.flaky_round[i] == flaky_check) return probing::kNoResponse;
+      const std::uint32_t source = plan.source[plan.first_target[i] + t];
+      if (source < ProbePlan::kNoSpeaker) {
+        return code_of(fib.attribution_at(source));
       }
-      const net::Asn from = target.routes_via.value_or(seeds.origin);
-      // §3.4: a per-prefix egress stance applies to the origin's own
-      // systems; interconnect addresses follow their owner's routing.
-      const bool stance =
-          seeds.stance_override.has_value() && !target.routes_via.has_value();
-      const dataplane::CatchmentFib::Attribution attr =
-          stance ? fib.attribution_with_stance(from, *seeds.stance_override)
-                 : fib.attribution(from);
-      if (!attr.reachable) return std::nullopt;
-      const probing::VlanInterface* iface =
-          host.interface_for_terminal(attr.terminal);
-      return iface == nullptr ? std::nullopt
-                              : std::optional<int>(iface->vlan_id);
+      const probing::PrefixSeeds& seeds = seeds_[i];
+      const net::Asn from = seeds.targets[t].routes_via.value_or(seeds.origin);
+      return code_of(source == ProbePlan::kStance
+                         ? fib.attribution_with_stance(
+                               from, *seeds.stance_override)
+                         : fib.attribution(from));
     };
-    probing::RoundResult round_result =
-        state.prober.run_round(seeds_, target_resolver, network.clock(), pool_);
+    state.prober.run_round(seeds_.size(), resolve, column_of, network.clock(),
+                           pool_);
     window.probe_end = network.clock().now();
 
-    for (std::size_t i = 0; i < round_result.prefixes.size(); ++i) {
-      result.observations[i].rounds.push_back(
-          std::move(round_result.prefixes[i]));
-    }
     result.windows.push_back(window);
 
     if (cfg.re == 0 && cfg.comm == 0) {
@@ -417,6 +465,8 @@ RoundWindow decode_window(net::BinaryReader& r) {
   return window;
 }
 
+}  // namespace
+
 void encode_observation(net::BinaryWriter& w, const PrefixObservation& obs) {
   encode_prefix(w, obs.prefix);
   w.u32(obs.origin.value());
@@ -434,33 +484,61 @@ void encode_observation(net::BinaryWriter& w, const PrefixObservation& obs) {
     }
   }
 }
-PrefixObservation decode_observation(net::BinaryReader& r) {
+
+std::optional<PrefixObservation> decode_observation(net::BinaryReader& r,
+                                                    probing::VlanPair vlans,
+                                                    std::size_t reserve_rounds) {
   PrefixObservation obs;
   obs.prefix = decode_prefix(r);
   obs.origin = net::Asn{r.u32()};
   obs.side = static_cast<topo::ReSide>(r.u8());
   const std::uint64_t rounds = r.length(1u << 16);
-  obs.rounds.reserve(rounds);
+  // The column stores addresses once, so every round must list the same
+  // targets as the first; codes are staged until the first round fixes
+  // the target count.
+  std::vector<net::IPv4Address> addresses;
+  std::vector<probing::OutcomeCode> codes;
   for (std::uint64_t i = 0; i < rounds; ++i) {
-    probing::PrefixRoundResult round;
-    round.prefix = decode_prefix(r);
-    round.origin = net::Asn{r.u32()};
+    if (decode_prefix(r) != obs.prefix || net::Asn{r.u32()} != obs.origin) {
+      return std::nullopt;
+    }
     r.u64();  // retired field (was packet_mismatches): always 0
     const std::uint64_t outcomes = r.length(1u << 24);
-    round.outcomes.reserve(outcomes);
+    if (i > 0 && outcomes != addresses.size()) return std::nullopt;
     for (std::uint64_t j = 0; j < outcomes; ++j) {
-      probing::ProbeOutcome outcome;
-      outcome.address = net::IPv4Address(r.u32());
-      outcome.responded = r.boolean();
-      outcome.vlan_id = static_cast<int>(r.u32());
-      round.outcomes.push_back(outcome);
+      const net::IPv4Address address(r.u32());
+      const bool responded = r.boolean();
+      const int vlan = static_cast<int>(r.u32());
+      if (r.failed()) return std::nullopt;  // truncated: stop before a
+                                            // corrupt count drives the loop
+      if (i == 0) {
+        addresses.push_back(address);
+      } else if (addresses[j] != address) {
+        return std::nullopt;
+      }
+      if (!responded) {
+        if (vlan != -1) return std::nullopt;
+        codes.push_back(probing::kNoResponse);
+      } else if (vlan == vlans[0]) {
+        codes.push_back(kCommodityCode);
+      } else if (vlan == vlans[1]) {
+        codes.push_back(kReCode);
+      } else {
+        return std::nullopt;  // a VLAN outside the experiment's pair
+      }
     }
-    obs.rounds.push_back(std::move(round));
+  }
+  const std::size_t targets = addresses.size();
+  obs.rounds = probing::ProbeColumn(
+      obs.prefix, obs.origin, std::move(addresses), vlans,
+      std::max<std::size_t>(rounds, reserve_rounds));
+  for (std::uint64_t i = 0; i < rounds; ++i) {
+    const std::span<probing::OutcomeCode> round = obs.rounds.add_round();
+    std::copy_n(codes.begin() + static_cast<std::ptrdiff_t>(i * targets),
+                targets, round.begin());
   }
   return obs;
 }
-
-}  // namespace
 
 void ExperimentController::save_round_checkpoint(
     const ExperimentResult& result, const RoundState& state,
@@ -526,14 +604,33 @@ std::optional<ExperimentResult> ExperimentController::try_resume() {
   setup.result.re_phase_end = r.i64();
 
   const std::uint64_t window_count = r.length(1u << 16);
+  if (window_count != rounds_done) return std::nullopt;
   setup.result.windows.reserve(window_count);
   for (std::uint64_t i = 0; i < window_count; ++i) {
     setup.result.windows.push_back(decode_window(r));
   }
+  // The observations must be this run's: one per seed, in seed order,
+  // with the same prefix, origin and targets, and one round per window.
+  // Anything else (a checkpoint of another seed list, say) would splice
+  // foreign columns into this run, so it falls back to a cold start.
   const std::uint64_t obs_count = r.length(1u << 24);
+  if (obs_count != seeds_.size()) return std::nullopt;
   setup.result.observations.reserve(obs_count);
-  for (std::uint64_t i = 0; i < obs_count; ++i) {
-    setup.result.observations.push_back(decode_observation(r));
+  const probing::VlanPair vlans = result_vlans(setup.result);
+  for (const probing::PrefixSeeds& s : seeds_) {
+    std::optional<PrefixObservation> obs =
+        decode_observation(r, vlans, config_.schedule.size());
+    if (!obs.has_value() || obs->prefix != s.prefix ||
+        obs->origin != s.origin || obs->rounds.size() != rounds_done ||
+        obs->rounds.targets() != s.targets.size()) {
+      return std::nullopt;
+    }
+    for (std::size_t t = 0; t < s.targets.size(); ++t) {
+      if (obs->rounds.addresses()[t] != s.targets[t].address) {
+        return std::nullopt;
+      }
+    }
+    setup.result.observations.push_back(*std::move(obs));
   }
 
   std::unordered_map<net::Prefix, int> flaky_round;

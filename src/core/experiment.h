@@ -14,9 +14,9 @@
 #include "bgp/update_log.h"
 #include "core/checkpoint.h"
 #include "dataplane/outage.h"
+#include "netbase/binio.h"
 #include "netbase/clock.h"
 #include "netbase/rng.h"
-#include "probing/host.h"
 #include "probing/prober.h"
 #include "probing/seeds.h"
 #include "runtime/thread_pool.h"
@@ -125,12 +125,13 @@ struct RoundWindow {
   net::SimTime probe_end = 0;
 };
 
-// Everything observed for one prefix across all rounds.
+// Everything observed for one prefix across all rounds: iterating
+// `rounds` yields one PrefixRoundResult view per probed round.
 struct PrefixObservation {
   net::Prefix prefix;
   net::Asn origin;
   topo::ReSide side = topo::ReSide::kParticipant;
-  std::vector<probing::PrefixRoundResult> rounds;
+  probing::ProbeColumn rounds;
 };
 
 struct ExperimentResult {
@@ -227,6 +228,18 @@ class ExperimentController {
   ExperimentConfig config_;
   runtime::ThreadPool* pool_ = nullptr;
 };
+
+// The observation codec shared by the round checkpoint and
+// result_digest: prefix, origin, side, then per round the prefix, the
+// origin, a retired 0, the outcome count and (address, responded, VLAN as
+// u32 with -1 when silent) per target. The decoder returns nullopt for
+// rounds that disagree with the first on target count or addresses, that
+// name another prefix or origin, or that carry a VLAN outside `vlans`;
+// the column it builds has room for `reserve_rounds` rounds.
+void encode_observation(net::BinaryWriter& w, const PrefixObservation& obs);
+std::optional<PrefixObservation> decode_observation(
+    net::BinaryReader& r, probing::VlanPair vlans,
+    std::size_t reserve_rounds = 0);
 
 // Content digest over a result's canonical serialization (windows,
 // observations, update log, phase boundaries). The equality the warm

@@ -107,6 +107,11 @@ class CatchmentFib {
     bool used_default_route = false;
   };
   Attribution attribution(net::Asn source) const;
+  // The same by dense speaker index (BgpNetwork::speaker_index), skipping
+  // the ASN hash: the experiment's probe plan resolves each target's
+  // source index once and reads the table here every round. `idx` must be
+  // below the speaker count of the last compile.
+  Attribution attribution_at(std::uint32_t idx) const;
 
   // §3.4 stance override: re-selects only the first hop under the
   // overridden localpref assignment, then answers from the compiled
@@ -157,7 +162,6 @@ class CatchmentFib {
     return idx < next_.size() ? idx : static_cast<std::size_t>(-1);
   }
   net::Asn external_of(std::uint32_t idx) const;
-  Attribution attribution_at(std::uint32_t idx) const;
   // Exact hop-by-hop walk over the compiled arrays, for the rare
   // nodes whose walk would overrun the hop budget (depth >= kMaxHops) and
   // for unknown sources. Read-only; still no RIB lookups.

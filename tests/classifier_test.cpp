@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <span>
 
 #include "core/classifier.h"
 
@@ -11,65 +12,56 @@ namespace {
 constexpr int kReVlan = 17;
 constexpr int kCommVlan = 18;
 
-probing::PrefixRoundResult make_round(std::vector<std::optional<int>> vlans) {
-  probing::PrefixRoundResult round;
-  round.prefix = *net::Prefix::parse("128.0.0.0/24");
-  std::uint32_t offset = 1;
-  for (const auto& vlan : vlans) {
-    probing::ProbeOutcome outcome;
-    outcome.address = round.prefix.address_at(offset++);
-    outcome.responded = vlan.has_value();
-    outcome.vlan_id = vlan.value_or(-1);
-    round.outcomes.push_back(outcome);
+// A column over `rounds` round specs, one char per system: 'r' (R&E),
+// 'c' (commodity), '.' (no response). Every spec lists the same systems.
+probing::ProbeColumn make_column(const std::vector<std::string>& rounds) {
+  const net::Prefix prefix = *net::Prefix::parse("128.0.0.0/24");
+  std::vector<net::IPv4Address> addresses;
+  for (std::size_t i = 0; !rounds.empty() && i < rounds.front().size(); ++i) {
+    addresses.push_back(prefix.address_at(1 + i));
   }
-  return round;
+  probing::ProbeColumn column(prefix, net::Asn{50001}, std::move(addresses),
+                              {kCommVlan, kReVlan}, rounds.size());
+  for (const std::string& spec : rounds) {
+    const std::span<probing::OutcomeCode> codes = column.add_round();
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+      codes[i] = spec[i] == 'c' ? 1 : spec[i] == 'r' ? 2 : probing::kNoResponse;
+    }
+  }
+  return column;
 }
 
 PrefixObservation make_observation(const std::vector<std::string>& rounds) {
-  // Round spec strings: each char is a system: 'r' (R&E), 'c' (commodity),
-  // '.' (no response).
   PrefixObservation obs;
   obs.prefix = *net::Prefix::parse("128.0.0.0/24");
   obs.origin = net::Asn{50001};
-  for (const std::string& spec : rounds) {
-    std::vector<std::optional<int>> vlans;
-    for (const char ch : spec) {
-      if (ch == 'r') {
-        vlans.push_back(kReVlan);
-      } else if (ch == 'c') {
-        vlans.push_back(kCommVlan);
-      } else {
-        vlans.push_back(std::nullopt);
-      }
-    }
-    obs.rounds.push_back(make_round(std::move(vlans)));
-  }
+  obs.rounds = make_column(rounds);
   return obs;
 }
 
 // ------------------------------------------------------------- round_state
 
 TEST(RoundState, AllReIsRe) {
-  EXPECT_EQ(round_state(make_round({kReVlan, kReVlan}), kReVlan), RoundState::kRe);
+  EXPECT_EQ(round_state(make_column({"rr"})[0], kReVlan), RoundState::kRe);
 }
 
 TEST(RoundState, AllCommodityIsCommodity) {
-  EXPECT_EQ(round_state(make_round({kCommVlan}), kReVlan),
+  EXPECT_EQ(round_state(make_column({"c"})[0], kReVlan),
             RoundState::kCommodity);
 }
 
 TEST(RoundState, SplitIsMixed) {
-  EXPECT_EQ(round_state(make_round({kReVlan, kCommVlan, kReVlan}), kReVlan),
+  EXPECT_EQ(round_state(make_column({"rcr"})[0], kReVlan),
             RoundState::kMixed);
 }
 
 TEST(RoundState, NoResponsesIsLoss) {
-  EXPECT_EQ(round_state(make_round({std::nullopt, std::nullopt}), kReVlan),
+  EXPECT_EQ(round_state(make_column({".."})[0], kReVlan),
             RoundState::kLoss);
 }
 
 TEST(RoundState, NonRespondersIgnoredWhenOthersRespond) {
-  EXPECT_EQ(round_state(make_round({std::nullopt, kReVlan}), kReVlan),
+  EXPECT_EQ(round_state(make_column({".r"})[0], kReVlan),
             RoundState::kRe);
 }
 

@@ -179,16 +179,18 @@ TEST(ExperimentVariants, ParallelProbingIsBitIdenticalToSerial) {
 
   auto fingerprint = [](const ExperimentResult& result) {
     std::string out;
+    // Each column: its target addresses, then one outcome code per
+    // (round, target).
     for (const PrefixObservation& obs : result.observations) {
       out += obs.prefix.to_string() + "|";
-      for (const auto& round : obs.rounds) {
-        out += std::to_string(round.response_count()) + ",";
-        out += "0,";
-        for (const auto& outcome : round.outcomes) {
-          out += outcome.responded ? std::to_string(outcome.vlan_id) : "x";
-          out += ".";
-        }
+      for (const net::IPv4Address address : obs.rounds.addresses()) {
+        out += address.to_string() + ",";
+      }
+      for (const probing::PrefixRoundResult& round : obs.rounds) {
         out += ";";
+        for (const probing::OutcomeCode code : round.outcomes.codes()) {
+          out += std::to_string(code);
+        }
       }
       out += "\n";
     }

@@ -317,5 +317,36 @@ TEST(BgpNetwork, ProbeLengthsStayHealthy) {
   EXPECT_LT(avg_probe_length, 2.0);
 }
 
+TEST(BgpNetwork, MapProbeLengthsStayNearOneOverAnExperiment) {
+  // The experiment's own flow on the scale-0.1 world: the commodity and
+  // R&E baselines, then nine scoped prepend rounds. Nearly every
+  // collector-set lookup is a miss, which is where a loaded table hurts.
+  topo::EcosystemParams params = topo::EcosystemParams{}.scaled(0.1);
+  params.seed = 20250529;
+  const topo::Ecosystem eco = topo::Ecosystem::generate(params);
+  const topo::MeasurementEndpoints& m = eco.measurement();
+  BgpNetwork network(99 ^ 0x5eedULL);
+  eco.build_network(network);
+  network.announce(m.commodity_origin, m.prefix);
+  network.run_to_convergence();
+  network.speaker(m.internet2_re_origin)->export_policy().default_prepend = 4;
+  OriginationOptions re_only;
+  re_only.re_only = true;
+  network.announce(m.internet2_re_origin, m.prefix, re_only);
+  network.run_to_convergence();
+  constexpr std::uint32_t kRe[9] = {4, 3, 2, 1, 0, 0, 0, 0, 0};
+  constexpr std::uint32_t kComm[9] = {0, 0, 0, 0, 0, 1, 2, 3, 4};
+  for (int round = 1; round < 9; ++round) {
+    network.set_origin_prepend(m.internet2_re_origin, m.prefix, kRe[round]);
+    network.set_origin_prepend(m.commodity_origin, m.prefix, kComm[round]);
+    network.run_dirty_to_convergence();
+  }
+  const auto stats = network.map_probe_stats();
+  ASSERT_GT(stats.lookups, 0u);
+  EXPECT_LT(static_cast<double>(stats.probes) /
+                static_cast<double>(stats.lookups),
+            1.5);
+}
+
 }  // namespace
 }  // namespace re::bgp

@@ -1,10 +1,10 @@
 // Tests for the probing substrate: seed generation, the §3.2 selection
-// pipeline, the prober, and the measurement host.
+// pipeline, and the prober with its outcome columns.
 #include <gtest/gtest.h>
 
-#include "probing/host.h"
 #include "probing/prober.h"
 #include "probing/seeds.h"
+#include "runtime/thread_pool.h"
 
 namespace re::probing {
 namespace {
@@ -155,6 +155,24 @@ TEST_F(SeedsFixture, IsiRecordsRankedByScore) {
 
 // ------------------------------------------------------------------ prober
 
+// Columns for `seeds`, naming VLANs {5, 6}, with room for `rounds` rounds.
+std::vector<ProbeColumn> make_columns(const std::vector<PrefixSeeds>& seeds,
+                                      std::size_t rounds) {
+  std::vector<ProbeColumn> columns;
+  for (const PrefixSeeds& s : seeds) {
+    columns.push_back(ProbeColumn::for_seeds(s, {5, 6}, rounds));
+  }
+  return columns;
+}
+
+RoundResult probe(Prober& prober, const std::vector<PrefixSeeds>& seeds,
+                  std::vector<ProbeColumn>& columns, OutcomeCode code,
+                  net::SimClock& clock) {
+  return prober.run_round(
+      seeds.size(), [code](std::size_t, std::size_t) { return code; },
+      [&](std::size_t i) -> ProbeColumn& { return columns[i]; }, clock);
+}
+
 TEST(Prober, AdvancesClockAtConfiguredRate) {
   // 3 targets at 1 pps should take ~3 seconds.
   std::vector<PrefixSeeds> seeds(1);
@@ -168,16 +186,18 @@ TEST(Prober, AdvancesClockAtConfiguredRate) {
   config.transient_loss = 0.0;
   Prober prober(config, 1);
   net::SimClock clock;
-  const RoundResult result = prober.run_round(
-      seeds, [](const PrefixSeeds&, const ProbeTarget&) { return 5; }, clock);
+  std::vector<ProbeColumn> columns = make_columns(seeds, 1);
+  const RoundResult result = probe(prober, seeds, columns, 1, clock);
   EXPECT_EQ(result.probes_sent, 3u);
   EXPECT_EQ(result.responses, 3u);
   EXPECT_EQ(clock.now(), 3);
-  EXPECT_EQ(result.prefixes[0].response_count(), 3u);
-  EXPECT_EQ(result.prefixes[0].outcomes[0].vlan_id, 5);
+  ASSERT_EQ(columns[0].size(), 1u);
+  EXPECT_EQ(columns[0][0].response_count(), 3u);
+  EXPECT_EQ(columns[0][0].outcomes[0].vlan_id, 5);  // code 1: first VLAN
+  EXPECT_EQ(columns[0][0].outcomes[2].address, seeds[0].targets[2].address);
 }
 
-TEST(Prober, ResolverNulloptMeansNoResponse) {
+TEST(Prober, ResolverSilentCodeMeansNoResponse) {
   std::vector<PrefixSeeds> seeds(1);
   seeds[0].prefix = *net::Prefix::parse("10.0.0.0/24");
   seeds[0].targets.push_back(
@@ -186,14 +206,12 @@ TEST(Prober, ResolverNulloptMeansNoResponse) {
   config.transient_loss = 0.0;
   Prober prober(config, 1);
   net::SimClock clock;
-  const RoundResult result = prober.run_round(
-      seeds,
-      [](const PrefixSeeds&, const ProbeTarget&) -> std::optional<int> {
-        return std::nullopt;
-      },
-      clock);
+  std::vector<ProbeColumn> columns = make_columns(seeds, 1);
+  const RoundResult result = probe(prober, seeds, columns, kNoResponse, clock);
   EXPECT_EQ(result.responses, 0u);
-  EXPECT_FALSE(result.prefixes[0].outcomes[0].responded);
+  const ProbeOutcome outcome = columns[0][0].outcomes[0];
+  EXPECT_FALSE(outcome.responded);
+  EXPECT_EQ(outcome.vlan_id, -1);
 }
 
 TEST(Prober, TransientLossDropsSomeProbes) {
@@ -207,34 +225,78 @@ TEST(Prober, TransientLossDropsSomeProbes) {
   config.transient_loss = 0.10;
   Prober prober(config, 1);
   net::SimClock clock;
-  const RoundResult result = prober.run_round(
-      seeds, [](const PrefixSeeds&, const ProbeTarget&) { return 1; }, clock);
+  std::vector<ProbeColumn> columns = make_columns(seeds, 1);
+  const RoundResult result = probe(prober, seeds, columns, 2, clock);
   const double loss_rate =
       1.0 - static_cast<double>(result.responses) / result.probes_sent;
   EXPECT_NEAR(loss_rate, 0.10, 0.03);
+  EXPECT_EQ(columns[0][0].response_count(), result.responses);
 }
 
-// -------------------------------------------------------------------- host
+TEST(Prober, ColumnsIdenticalAcrossPoolWidths) {
+  // Chunking must not leak into the output: a prefix count that is not a
+  // multiple of the chunk size, probed serially and at pool widths 1, 2
+  // and 4, gives byte-identical columns and totals over three rounds.
+  const std::size_t prefixes = 2 * Prober::kPrefixesPerChunk + 5;
+  std::vector<PrefixSeeds> seeds(prefixes);
+  for (std::size_t i = 0; i < prefixes; ++i) {
+    seeds[i].prefix = net::Prefix(
+        net::IPv4Address(0x0A000000u + static_cast<std::uint32_t>(i << 8)), 24);
+    for (std::size_t t = 0; t < 1 + i % 3; ++t) {
+      seeds[i].targets.push_back(ProbeTarget{seeds[i].prefix.address_at(1 + t),
+                                             ProbeMethod::kIcmpEcho, 0, {}});
+    }
+  }
+  ProberConfig config;
+  config.transient_loss = 0.2;
+  const auto resolve = [](std::size_t i, std::size_t t) {
+    return static_cast<OutcomeCode>((i + t) % 3);
+  };
 
-TEST(MeasurementHost, MapsTerminalsToInterfaces) {
-  MeasurementHost host(*net::IPv4Address::parse("163.253.63.63"));
-  host.add_interface({18, "ens3f1np1.18", false, net::Asn{396955}});
-  host.add_interface({17, "ens3f1np1.17", true, net::Asn{11537}});
+  struct Run {
+    std::vector<ProbeColumn> columns;
+    std::vector<std::size_t> responses;
+    net::SimTime clock = 0;
+  };
+  const auto run = [&](runtime::ThreadPool* pool) {
+    Run out;
+    out.columns = make_columns(seeds, 3);
+    Prober prober(config, 42);
+    net::SimClock clock;
+    for (int round = 0; round < 3; ++round) {
+      out.responses.push_back(
+          prober
+              .run_round(
+                  prefixes, resolve,
+                  [&](std::size_t i) -> ProbeColumn& { return out.columns[i]; },
+                  clock, pool)
+              .responses);
+    }
+    out.clock = clock.now();
+    return out;
+  };
+  const auto codes_of = [](const Run& r) {
+    std::vector<OutcomeCode> codes;
+    for (const ProbeColumn& column : r.columns) {
+      EXPECT_EQ(column.size(), 3u);
+      for (const PrefixRoundResult& round : column) {
+        codes.insert(codes.end(), round.outcomes.codes().begin(),
+                     round.outcomes.codes().end());
+      }
+    }
+    return codes;
+  };
 
-  const VlanInterface* commodity = host.interface_for_terminal(net::Asn{396955});
-  ASSERT_NE(commodity, nullptr);
-  EXPECT_FALSE(commodity->re);
-  EXPECT_EQ(commodity->vlan_id, 18);
-
-  const VlanInterface* re = host.interface_for_terminal(net::Asn{11537});
-  ASSERT_NE(re, nullptr);
-  EXPECT_TRUE(re->re);
-
-  EXPECT_EQ(host.interface_for_terminal(net::Asn{1}), nullptr);
-  EXPECT_EQ(host.interface_by_vlan(17), re);
-  EXPECT_EQ(host.interface_by_vlan(99), nullptr);
-  EXPECT_EQ(host.terminals().size(), 2u);
-  EXPECT_EQ(host.source().to_string(), "163.253.63.63");
+  const Run serial = run(nullptr);
+  const std::vector<OutcomeCode> reference = codes_of(serial);
+  ASSERT_GT(serial.responses[0], 0u);
+  for (const std::size_t width : {1u, 2u, 4u}) {
+    runtime::ThreadPool pool(width);
+    const Run pooled = run(&pool);
+    EXPECT_EQ(codes_of(pooled), reference) << "width " << width;
+    EXPECT_EQ(pooled.responses, serial.responses) << "width " << width;
+    EXPECT_EQ(pooled.clock, serial.clock) << "width " << width;
+  }
 }
 
 TEST(ProbeMethodStrings, HumanReadable) {

@@ -286,6 +286,94 @@ TEST_F(SnapshotFixture, ResumeRejectsCheckpointFromDifferentSeed) {
   EXPECT_EQ(result_digest(resumed), result_digest(cold));
 }
 
+TEST_F(SnapshotFixture, ResumeRejectsCheckpointOfAnotherSeedList) {
+  // Same seed, different seed lists: the checkpoint's observations belong
+  // to another run, in either direction. A resume must neither splice
+  // them in nor index past them; it reruns cold.
+  const std::vector<probing::PrefixSeeds>& full = world().selection.seeds;
+  const std::vector<probing::PrefixSeeds> shorter(
+      full.begin(), full.begin() + static_cast<std::ptrdiff_t>(full.size() / 2));
+  ASSERT_FALSE(shorter.empty());
+
+  const auto run = [&](const std::vector<probing::PrefixSeeds>& seeds,
+                       MemoryStore* store, int abort_after, bool resume) {
+    ExperimentConfig config = base_config();
+    config.checkpoint_store = store;
+    config.abort_after_round = abort_after;
+    config.resume = resume;
+    return ExperimentController(world().ecosystem, seeds, config).run();
+  };
+  for (const bool abort_on_full : {true, false}) {
+    const std::vector<probing::PrefixSeeds>& written =
+        abort_on_full ? full : shorter;
+    const std::vector<probing::PrefixSeeds>& resumed_on =
+        abort_on_full ? shorter : full;
+    MemoryStore store;
+    (void)run(written, &store, 4, false);
+    const ExperimentResult resumed = run(resumed_on, &store, -1, true);
+    const ExperimentResult cold = run(resumed_on, nullptr, -1, false);
+    EXPECT_EQ(resumed.observations.size(), resumed_on.size());
+    EXPECT_EQ(result_digest(resumed), result_digest(cold))
+        << (abort_on_full ? "full then shorter" : "shorter then full");
+  }
+}
+
+// ---------------------------------------------------- observation codec
+
+// One observation's checkpoint bytes: `round_targets[r]` outcomes in
+// round r, every one answering on `vlan`.
+std::vector<std::uint8_t> observation_bytes(
+    const std::vector<std::size_t>& round_targets, int vlan) {
+  const net::Prefix prefix = *net::Prefix::parse("128.0.0.0/24");
+  net::BinaryWriter w;
+  w.u32(prefix.network().value());
+  w.u8(prefix.length());
+  w.u32(50001);
+  w.u8(0);
+  w.u64(round_targets.size());
+  for (const std::size_t targets : round_targets) {
+    w.u32(prefix.network().value());
+    w.u8(prefix.length());
+    w.u32(50001);
+    w.u64(0);
+    w.u64(targets);
+    for (std::size_t t = 0; t < targets; ++t) {
+      w.u32(prefix.address_at(1 + t).value());
+      w.boolean(true);
+      w.u32(static_cast<std::uint32_t>(vlan));
+    }
+  }
+  return w.bytes();
+}
+
+TEST(ObservationCodec, RoundTripsByteForByte) {
+  const std::vector<std::uint8_t> bytes = observation_bytes({3, 3}, 17);
+  net::BinaryReader r(bytes);
+  const std::optional<PrefixObservation> obs = decode_observation(r, {18, 17});
+  ASSERT_TRUE(obs.has_value());
+  EXPECT_TRUE(r.ok());
+  ASSERT_EQ(obs->rounds.size(), 2u);
+  EXPECT_EQ(obs->rounds[1].response_count(), 3u);
+  EXPECT_EQ(obs->rounds[1].outcomes[2].vlan_id, 17);
+  net::BinaryWriter w;
+  encode_observation(w, *obs);
+  EXPECT_EQ(w.bytes(), bytes);
+}
+
+TEST(ObservationCodec, RejectsRoundsThatDisagreeOnTargetCount) {
+  // The column stores the target list once; a later round with another
+  // count cannot be one of its rounds.
+  const std::vector<std::uint8_t> bytes = observation_bytes({2, 3}, 17);
+  net::BinaryReader r(bytes);
+  EXPECT_FALSE(decode_observation(r, {18, 17}).has_value());
+}
+
+TEST(ObservationCodec, RejectsVlanOutsideTheExperimentPair) {
+  const std::vector<std::uint8_t> bytes = observation_bytes({2}, 1001);
+  net::BinaryReader r(bytes);
+  EXPECT_FALSE(decode_observation(r, {18, 17}).has_value());
+}
+
 // ------------------------------------------------------- disk store
 
 TEST(FileCheckpointStore, RoundTripsAndSurvivesResave) {
