@@ -2,9 +2,6 @@
 // and U.S. state that an equal-localpref vantage (RIPE) reaches over R&E.
 #include <cstdio>
 
-#include <cstdlib>
-
-#include "analysis/csv.h"
 #include "analysis/report.h"
 #include "bench/world.h"
 #include "core/rib_survey.h"
@@ -20,17 +17,6 @@ int main() {
   const core::Figure5 fig = core::build_figure5(world.ecosystem, survey, 4);
   std::printf("\nFigure 5 — RIPE's selected routes toward R&E prefixes\n\n%s\n",
               analysis::render_figure5(fig).c_str());
-
-  if (const char* dir = std::getenv("RE_CSV_DIR")) {
-    const std::string path = std::string(dir) + "/figure5.csv";
-    std::FILE* out = std::fopen(path.c_str(), "w");
-    if (out != nullptr) {
-      const std::string data = analysis::figure5_csv(fig);
-      std::fwrite(data.data(), 1, data.size(), out);
-      std::fclose(out);
-      std::printf("wrote %s\n\n", path.c_str());
-    }
-  }
 
   bench::print_paper_note("Figure 5 / §4.3");
   std::printf(

@@ -3,12 +3,10 @@
 // Peer-NREN (international) populations, in both experiments.
 #include <cstdio>
 
-#include "analysis/csv.h"
 #include "bench/world.h"
 #include "core/comparator.h"
 #include "core/switch_cdf.h"
 
-#include <cstdlib>
 #include <unordered_map>
 
 int main() {
@@ -36,22 +34,6 @@ int main() {
   std::printf("(b) Internet2 experiment (participant N=%zu, peer-nren N=%zu)\n%s\n",
               i2_cdf.participant_ases, i2_cdf.peer_nren_ases,
               core::render_switch_cdf(i2_cdf).c_str());
-
-  if (const char* dir = std::getenv("RE_CSV_DIR")) {
-    for (const auto& [name, cdf] :
-         {std::pair{"figure8_surf.csv", &surf_cdf},
-          std::pair{"figure8_internet2.csv", &i2_cdf}}) {
-      const std::string path = std::string(dir) + "/" + name;
-      std::FILE* out = std::fopen(path.c_str(), "w");
-      if (out != nullptr) {
-        const std::string data = analysis::switch_cdf_csv(*cdf);
-        std::fwrite(data.data(), 1, data.size(), out);
-        std::fclose(out);
-        std::printf("wrote %s\n", path.c_str());
-      }
-    }
-    std::printf("\n");
-  }
 
   // Appendix B: ASes whose first switch is at 0-1 in BOTH experiments are
   // the candidate route-age (case J) networks. Compute the intersection and

@@ -278,21 +278,6 @@ void BM_ResultLineRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_ResultLineRoundTrip);
 
-void BM_UpdateLogEncode(benchmark::State& state) {
-  bgp::UpdateLog log;
-  net::Rng rng(3);
-  for (int i = 0; i < state.range(0); ++i) {
-    const net::Asn peer{static_cast<std::uint32_t>(1 + rng.below(70000))};
-    log.record(i, peer, *net::Prefix::parse("163.253.63.0/24"), false,
-               bgp::AsPath{peer, net::Asn{3356}, net::Asn{396955}});
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(io::encode_update_log(log));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_UpdateLogEncode)->Arg(1000);
-
 // --- per-invariant check cost (re_check harness, DESIGN.md §5g) -----------
 //
 // One benchmark per invariant on re_check's own seeded fuzzing world, so

@@ -131,10 +131,4 @@ DecisionResult select_best(std::span<const Route> candidates,
   return result;
 }
 
-std::optional<std::size_t> best_index(std::span<const Route> candidates,
-                                      const DecisionConfig& config) {
-  if (candidates.empty()) return std::nullopt;
-  return select_best(candidates, config).best_index;
-}
-
 }  // namespace re::bgp

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -71,9 +70,5 @@ bool better_route(const Route& a, const Route& b, const DecisionConfig& config);
 // intransitivity the same way deterministic-MED-off routers do).
 DecisionResult select_best(std::span<const Route> candidates,
                            const DecisionConfig& config);
-
-// Convenience: index of the best route, or nullopt for an empty set.
-std::optional<std::size_t> best_index(std::span<const Route> candidates,
-                                      const DecisionConfig& config);
 
 }  // namespace re::bgp

@@ -488,18 +488,6 @@ ConvergenceStats BgpNetwork::run_channels(std::span<const std::uint32_t> scope,
   return stats;
 }
 
-ConvergenceStats BgpNetwork::settle(const net::Prefix& prefix) {
-  mark_dirty(prefix);
-  for (const auto& s : speakers_) {
-    if (s->reevaluate(prefix, clock_.now())) {
-      flush_exports(*s, prefix, clock_.now());
-    }
-  }
-  // Full-scope drain on purpose: callers (beacon schedules, partial-failure
-  // tests) expect a settled network afterwards, not just a settled prefix.
-  return run_to_convergence();
-}
-
 void BgpNetwork::add_collector_peer(net::Asn peer) {
   // 4x headroom: nearly every lookup here (one per delivery) is a miss,
   // and a miss walks the whole probe run, which grows sharply with load.

@@ -221,10 +221,6 @@ class BgpNetwork {
     round_observer_ = std::move(observer);
   }
 
-  // Re-runs decisions network-wide for `prefix` (e.g. after damping decay)
-  // and propagates any changes to convergence.
-  ConvergenceStats settle(const net::Prefix& prefix);
-
   // --- Collectors (public BGP view) ----------------------------------------
 
   // Registers `peer` as a collector feed (RouteViews/RIS-style).

@@ -39,42 +39,4 @@ RovState RoaTable::validate(const net::Prefix& prefix, net::Asn origin) const {
   return covered ? RovState::kInvalid : RovState::kNotFound;
 }
 
-std::vector<Roa> RoaTable::covering(const net::Prefix& prefix) const {
-  std::vector<Roa> out;
-  for (std::uint8_t len = 0; len <= prefix.length(); ++len) {
-    const net::Prefix candidate(prefix.network(), len);
-    const std::vector<Roa>* bucket = trie_.find(candidate);
-    if (bucket == nullptr) continue;
-    for (const Roa& roa : *bucket) {
-      if (roa.prefix.covers(prefix)) out.push_back(roa);
-    }
-  }
-  return out;
-}
-
-void IrrRegistry::add(IrrRouteObject object) {
-  if (std::vector<IrrRouteObject>* bucket = trie_.find(object.prefix)) {
-    bucket->push_back(std::move(object));
-  } else {
-    const net::Prefix prefix = object.prefix;
-    trie_.insert(prefix, {std::move(object)});
-  }
-  ++count_;
-}
-
-bool IrrRegistry::registered(const net::Prefix& prefix, net::Asn origin) const {
-  const std::vector<IrrRouteObject>* bucket = trie_.find(prefix);
-  if (bucket == nullptr) return false;
-  for (const IrrRouteObject& object : *bucket) {
-    if (object.origin == origin) return true;
-  }
-  return false;
-}
-
-std::vector<IrrRouteObject> IrrRegistry::objects_for(
-    const net::Prefix& prefix) const {
-  const std::vector<IrrRouteObject>* bucket = trie_.find(prefix);
-  return bucket == nullptr ? std::vector<IrrRouteObject>{} : *bucket;
-}
-
 }  // namespace re::bgp

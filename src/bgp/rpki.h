@@ -4,7 +4,8 @@
 // route objects". §2.3 discusses the data-plane ROV studies whose passive
 // VP methodology this paper adapts. This module provides the ROA table,
 // the RFC 6811 validation outcomes, and an optional import-time ROV drop
-// so the simulator can also reproduce ROV-style experiments.
+// so the simulator can also reproduce ROV-style experiments. IRR route
+// objects are not modelled: no simulated AS filters on them.
 #pragma once
 
 #include <cstdint>
@@ -49,36 +50,10 @@ class RoaTable {
     return validate(prefix, path.origin());
   }
 
-  // All ROAs whose prefix covers `prefix` (the "covering set").
-  std::vector<Roa> covering(const net::Prefix& prefix) const;
-
  private:
   // ROAs bucketed by their ROA prefix; lookup walks every less-specific
   // position via the trie.
   net::PrefixTrie<std::vector<Roa>> trie_;
-  std::size_t count_ = 0;
-};
-
-// An IRR route object (paper §3.3; looser than a ROA — no max length).
-struct IrrRouteObject {
-  net::Prefix prefix;
-  net::Asn origin;
-  std::string source = "RADB";
-};
-
-// A minimal IRR: exact-prefix route-object registry.
-class IrrRegistry {
- public:
-  void add(IrrRouteObject object);
-  std::size_t size() const noexcept { return count_; }
-
-  // True if a route object registers `origin` for exactly `prefix`.
-  bool registered(const net::Prefix& prefix, net::Asn origin) const;
-
-  std::vector<IrrRouteObject> objects_for(const net::Prefix& prefix) const;
-
- private:
-  net::PrefixTrie<std::vector<IrrRouteObject>> trie_;
   std::size_t count_ = 0;
 };
 

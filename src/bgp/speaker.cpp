@@ -170,11 +170,6 @@ bool Speaker::originates(const net::Prefix& prefix) const {
   return state != nullptr && state->local;
 }
 
-bool Speaker::reevaluate(const net::Prefix& prefix, net::SimTime now) {
-  PrefixState* state = rib_->find_for_write(index_, prefix);
-  return state != nullptr && run_decision(*state, now);
-}
-
 bool Speaker::run_decision(PrefixState& state, net::SimTime now) {
   std::vector<Route>& candidates = candidate_scratch_;
   candidates.clear();

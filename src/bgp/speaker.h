@@ -143,10 +143,6 @@ class Speaker {
   bool withdraw_origination(const net::Prefix& prefix, net::SimTime now);
   bool originates(const net::Prefix& prefix) const;
 
-  // Re-runs the decision process (e.g. after damping penalties decay).
-  // Returns true if the best route changed.
-  bool reevaluate(const net::Prefix& prefix, net::SimTime now);
-
   // --- Loc-RIB queries ----------------------------------------------------
   const Route* best(const net::Prefix& prefix) const;
   DecisionStep best_decided_by(const net::Prefix& prefix) const;

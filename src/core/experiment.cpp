@@ -47,6 +47,9 @@ namespace {
 constexpr probing::OutcomeCode kCommodityCode = 1;
 constexpr probing::OutcomeCode kReCode = 2;
 
+// Upper bound on the outages auto_plant_outages plants.
+constexpr int kAutoOutageCount = 3;
+
 probing::VlanPair result_vlans(const ExperimentResult& result) {
   return {result.commodity_vlan, result.re_vlan};
 }
@@ -212,7 +215,7 @@ ExperimentController::RoundState ExperimentController::make_round_state(
     int planted = 0;
     const int rounds = static_cast<int>(config_.schedule.size());
     for (const net::Asn member : ecosystem_.members()) {
-      if (planted >= config_.auto_outage_count) break;
+      if (planted >= kAutoOutageCount) break;
       const topo::AsRecord* r = ecosystem_.directory().find(member);
       if (r == nullptr) continue;
       if (r->traits.stance != bgp::ReStance::kPreferRe ||

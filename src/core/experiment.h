@@ -65,11 +65,10 @@ struct ExperimentConfig {
   double p_prefix_flaky = 0.010;
 
   // Outage plants producing the Switch-to-commodity / Oscillating rows.
-  // When empty and auto_plant_outages is set, the controller plants
-  // auto_outage_count of them on R&E-preferring members.
+  // When empty and auto_plant_outages is set, the controller plants up to
+  // three of them on R&E-preferring members.
   std::vector<dataplane::OutagePlan> outages;
   bool auto_plant_outages = true;
-  int auto_outage_count = 3;
 
   // Probability that a member's R&E connectivity differs this week
   // (provider/peering churn between the two experiment dates — the source

@@ -314,38 +314,6 @@ void CatchmentFib::resolve(net::Asn source, ReturnPath& out) const {
   // Hop limit exceeded.
 }
 
-ReturnPath CatchmentFib::resolve_with_stance(net::Asn source,
-                                             bgp::ReStance stance) const {
-  if (is_terminal(source)) return resolve(source);
-  const bgp::Speaker* speaker = network_.speaker(source);
-  if (speaker == nullptr) return ReturnPath{};
-
-  std::vector<bgp::Route> candidates = speaker->candidates(prefix_);
-  if (candidates.empty()) return resolve(source);  // default-route path
-  bgp::ImportPolicy policy = speaker->import_policy();
-  policy.re_stance = stance;
-  for (bgp::Route& candidate : candidates) {
-    if (!candidate.learned_from.valid()) continue;
-    if (const bgp::Session* session =
-            speaker->session_to(candidate.learned_from)) {
-      candidate.local_pref = policy.local_pref_for(*session);
-    }
-  }
-  const bgp::DecisionResult chosen =
-      bgp::select_best(candidates, speaker->decision());
-  const bgp::Route& best = candidates[chosen.best_index];
-  if (!best.learned_from.valid()) return ReturnPath{};
-
-  ReturnPath rest = resolve(best.learned_from);
-  ReturnPath out;
-  out.reachable = rest.reachable;
-  out.terminal = rest.terminal;
-  out.used_default_route = rest.used_default_route;
-  out.hops.push_back(source);
-  out.hops.insert(out.hops.end(), rest.hops.begin(), rest.hops.end());
-  return out;
-}
-
 std::optional<net::Asn> CatchmentFib::next_hop(net::Asn asn) const {
   const std::size_t idx = dense_index(asn);
   if (idx == kNoIndex) return std::nullopt;
@@ -355,15 +323,6 @@ std::optional<net::Asn> CatchmentFib::next_hop(net::Asn asn) const {
     return external_of(static_cast<std::uint32_t>(idx));
   }
   return asn_[nxt];
-}
-
-CatchmentClass CatchmentFib::catchment_class(net::Asn asn) const {
-  const std::size_t idx = dense_index(asn);
-  if (idx == kNoIndex) {
-    return is_terminal(asn) ? CatchmentClass::kTerminal
-                            : CatchmentClass::kBlackHole;
-  }
-  return class_[idx];
 }
 
 }  // namespace re::dataplane

@@ -19,8 +19,8 @@
 // is classified exactly once), and then answers each query in O(1):
 // {terminal T, via/without default route}, forwarding loop, or black
 // hole. Full `hops` vectors are reconstructed lazily, only for callers
-// that need them (tracer, diagnostics), by walking the compiled next-hop
-// array — O(path length) array reads, zero RIB lookups.
+// that need them (the fib-agreement check, diagnostics), by walking the
+// compiled next-hop array — O(path length) array reads, zero RIB lookups.
 //
 // Staleness is handled by epochs, not by discipline: BgpNetwork bumps a
 // per-prefix mutation counter wherever the dirty set is seeded and on
@@ -58,15 +58,6 @@ struct ReturnPath {
   net::Asn terminal;            // announcement endpoint reached
   std::vector<net::Asn> hops;   // AS-level forwarding path, source first
   bool used_default_route = false;
-};
-
-// Terminal-attribution class of one AS for one prefix.
-enum class CatchmentClass : std::uint8_t {
-  kTerminal,   // reaches an announcement terminal (check used_default_route
-               // for the via-default flavour)
-  kLoop,       // forwarding loop
-  kBlackHole,  // no route + no default somewhere downstream, or a
-               // non-terminal originator
 };
 
 class CatchmentFib {
@@ -123,16 +114,10 @@ class CatchmentFib {
   // next-hop array. Bit-identical to src/check's reference walker.
   ReturnPath resolve(net::Asn source) const;
   void resolve(net::Asn source, ReturnPath& out) const;
-  ReturnPath resolve_with_stance(net::Asn source, bgp::ReStance stance) const;
 
   // Raw compiled next hop of `asn` (nullopt: none, or unknown AS). The
   // tracer drives its TTL walk off this instead of per-hop RIB lookups.
   std::optional<net::Asn> next_hop(net::Asn asn) const;
-
-  // The compiled class of `asn` (kBlackHole for ASes outside the
-  // network, matching a walk's "no speaker" outcome — unless the ASN is
-  // itself a terminal).
-  CatchmentClass catchment_class(net::Asn asn) const;
 
   bool is_terminal(net::Asn asn) const {
     for (const net::Asn terminal : terminals_) {
@@ -155,6 +140,15 @@ class CatchmentFib {
   static constexpr std::uint32_t kExternalNext = 0xFFFFFFFEu;
   static constexpr std::uint32_t kNoTerminal = 0xFFFFFFFFu;
   static constexpr int kMaxHops = 64;  // the return-path hop budget
+
+  // Terminal-attribution class of one AS for one prefix.
+  enum class CatchmentClass : std::uint8_t {
+    kTerminal,   // reaches an announcement terminal (check
+                 // used_default_route for the via-default flavour)
+    kLoop,       // forwarding loop
+    kBlackHole,  // no route + no default somewhere downstream, or a
+                 // non-terminal originator
+  };
 
   void compile();
   std::size_t dense_index(net::Asn asn) const {

@@ -1,65 +1,9 @@
 #include "io/results_io.h"
 
-#include <cstdio>
-#include <cstring>
 
 #include "io/json.h"
 
 namespace re::io {
-namespace {
-
-constexpr std::uint8_t kMagic[4] = {'R', 'E', 'U', 'L'};
-constexpr std::uint16_t kVersion = 1;
-
-void put16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v));
-}
-void put32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  put16(out, static_cast<std::uint16_t>(v >> 16));
-  put16(out, static_cast<std::uint16_t>(v));
-}
-void put64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put32(out, static_cast<std::uint32_t>(v >> 32));
-  put32(out, static_cast<std::uint32_t>(v));
-}
-
-class ByteReader {
- public:
-  explicit ByteReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-  bool need(std::size_t n) const { return pos_ + n <= bytes_.size(); }
-  bool done() const { return pos_ == bytes_.size(); }
-
-  std::optional<std::uint8_t> u8() {
-    if (!need(1)) return std::nullopt;
-    return bytes_[pos_++];
-  }
-  std::optional<std::uint16_t> u16() {
-    if (!need(2)) return std::nullopt;
-    const std::uint16_t v =
-        static_cast<std::uint16_t>((bytes_[pos_] << 8) | bytes_[pos_ + 1]);
-    pos_ += 2;
-    return v;
-  }
-  std::optional<std::uint32_t> u32() {
-    const auto hi = u16();
-    const auto lo = u16();
-    if (!hi || !lo) return std::nullopt;
-    return (std::uint32_t{*hi} << 16) | *lo;
-  }
-  std::optional<std::uint64_t> u64() {
-    const auto hi = u32();
-    const auto lo = u32();
-    if (!hi || !lo) return std::nullopt;
-    return (std::uint64_t{*hi} << 32) | *lo;
-  }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
 
 // ----------------------------------------------------------------- tokens
 
@@ -206,89 +150,6 @@ std::optional<std::vector<core::PrefixInference>> from_json_lines(
     out.push_back(std::move(*parsed));
   }
   return out;
-}
-
-// ---------------------------------------------------------- MRT-like log
-
-std::vector<std::uint8_t> encode_update_log(const bgp::UpdateLog& log) {
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), std::begin(kMagic), std::end(kMagic));
-  put16(out, kVersion);
-  put64(out, log.size());
-  for (const bgp::CollectorUpdate& update : log.updates()) {
-    put64(out, static_cast<std::uint64_t>(update.time));
-    put32(out, update.peer.value());
-    put32(out, update.prefix.network().value());
-    out.push_back(update.prefix.length());
-    out.push_back(update.withdraw ? 1 : 0);
-    const auto path = log.path_span(update);
-    put16(out, static_cast<std::uint16_t>(path.size()));
-    for (const net::Asn asn : path) put32(out, asn.value());
-  }
-  return out;
-}
-
-std::optional<bgp::UpdateLog> decode_update_log(
-    std::span<const std::uint8_t> bytes) {
-  ByteReader reader(bytes);
-  if (!reader.need(4)) return std::nullopt;
-  for (const std::uint8_t magic : kMagic) {
-    const auto byte = reader.u8();
-    if (!byte || *byte != magic) return std::nullopt;
-  }
-  const auto version = reader.u16();
-  if (!version || *version != kVersion) return std::nullopt;
-  const auto count = reader.u64();
-  if (!count) return std::nullopt;
-
-  bgp::UpdateLog log;
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    const auto time = reader.u64();
-    const auto peer = reader.u32();
-    const auto address = reader.u32();
-    const auto length = reader.u8();
-    const auto withdraw = reader.u8();
-    const auto path_length = reader.u16();
-    if (!time || !peer || !address || !length || !withdraw || !path_length) {
-      return std::nullopt;
-    }
-    if (*length > 32 || *withdraw > 1) return std::nullopt;
-    std::vector<net::Asn> asns;
-    asns.reserve(*path_length);
-    for (std::uint16_t k = 0; k < *path_length; ++k) {
-      const auto asn = reader.u32();
-      if (!asn) return std::nullopt;
-      asns.push_back(net::Asn{*asn});
-    }
-    log.record(static_cast<net::SimTime>(*time), net::Asn{*peer},
-               net::Prefix(net::IPv4Address(*address), *length),
-               *withdraw == 1, std::span<const net::Asn>(asns));
-  }
-  if (!reader.done()) return std::nullopt;  // trailing garbage
-  return log;
-}
-
-bool write_update_log(const std::string& path, const bgp::UpdateLog& log) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return false;
-  const auto bytes = encode_update_log(log);
-  const bool ok =
-      std::fwrite(bytes.data(), 1, bytes.size(), file) == bytes.size();
-  std::fclose(file);
-  return ok;
-}
-
-std::optional<bgp::UpdateLog> read_update_log(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return std::nullopt;
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buffer[4096];
-  std::size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    bytes.insert(bytes.end(), buffer, buffer + n);
-  }
-  std::fclose(file);
-  return decode_update_log(bytes);
 }
 
 }  // namespace re::io

@@ -1,14 +1,11 @@
 // Measurement-result serialization: JSON-lines encoding of per-prefix
-// inferences (the format of the paper's released dataset) and an
-// MRT-inspired binary container for collector update streams.
+// inferences (the format of the paper's released dataset).
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "bgp/update_log.h"
 #include "core/classifier.h"
 
 namespace re::io {
@@ -34,21 +31,5 @@ std::string inference_token(core::Inference inference);
 std::optional<core::Inference> inference_from_token(std::string_view token);
 std::string side_token(topo::ReSide side);
 std::optional<topo::ReSide> side_from_token(std::string_view token);
-
-// --------------------------------------------------- MRT-like update log
-
-// A compact binary container for CollectorUpdate streams, in the spirit
-// of MRT (RFC 6396): fixed magic + version header, then one
-// length-prefixed record per update. Big-endian on the wire.
-//
-// record: u64 time | u32 peer | u32 prefix-address | u8 prefix-length |
-//         u8 withdraw | u16 path-length | u32 asn...
-std::vector<std::uint8_t> encode_update_log(const bgp::UpdateLog& log);
-std::optional<bgp::UpdateLog> decode_update_log(
-    std::span<const std::uint8_t> bytes);
-
-// File convenience (returns false / nullopt on IO errors).
-bool write_update_log(const std::string& path, const bgp::UpdateLog& log);
-std::optional<bgp::UpdateLog> read_update_log(const std::string& path);
 
 }  // namespace re::io

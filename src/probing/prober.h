@@ -7,8 +7,7 @@
 // parameter answering (prefix index, target index) -> outcome code, which
 // keeps the prober independent of BGP machinery — as scamper is. The
 // prober builds no packets: the observable is (target, round) -> arrival
-// VLAN. The wire codec (packet.h) serves the tracer, and packet_test
-// round-trips it over every selected seed target.
+// VLAN.
 //
 // Outcomes live in one ProbeColumn per prefix: the target addresses once,
 // plus one byte per (round, target) — 0 for no response, k for the k-th

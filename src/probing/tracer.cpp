@@ -62,36 +62,4 @@ TraceResult Tracer::trace(net::Asn source, int max_ttl) const {
   return result;
 }
 
-bool Tracer::verify_wire(const TraceResult& result,
-                         net::IPv4Address probe_source,
-                         net::IPv4Address destination_address) const {
-  PacketFactory factory(probe_source, 0x7ace);
-  for (const TraceHop& hop : result.hops) {
-    ProbeTarget target{destination_address, ProbeMethod::kIcmpEcho, 0, {}};
-    const ProbePacket probe = factory.make_probe(target);
-    if (hop.destination) {
-      // Echo reply from the destination: must match the probe.
-      const auto reply = factory.make_response(probe);
-      if (!factory.matches(probe, reply)) return false;
-    } else {
-      // ICMP time-exceeded from an intermediate hop: encode and decode it
-      // to exercise the codec; it must NOT match as an echo reply.
-      Ipv4Header ip;
-      ip.source = net::IPv4Address(0x0a000000u | hop.asn.value());
-      ip.destination = probe_source;
-      ip.protocol = 1;
-      IcmpMessage exceeded;
-      exceeded.type = IcmpType::kTimeExceeded;
-      ip.total_length = Ipv4Header::kSize + IcmpMessage::kSize;
-      const auto ip_bytes = ip.encode();
-      const auto icmp_bytes = exceeded.encode();
-      std::vector<std::uint8_t> reply(ip_bytes.begin(), ip_bytes.end());
-      reply.insert(reply.end(), icmp_bytes.begin(), icmp_bytes.end());
-      if (!Ipv4Header::decode(reply).has_value()) return false;
-      if (factory.matches(probe, reply)) return false;
-    }
-  }
-  return true;
-}
-
 }  // namespace re::probing

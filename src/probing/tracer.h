@@ -5,8 +5,8 @@
 // PredictRoute) drives traceroutes through the same vantage machinery.
 // This tracer walks TTL-limited probes hop by hop along each AS's best
 // route toward a destination prefix: every intermediate AS answers with
-// an ICMP time-exceeded, the destination with the probe's natural reply —
-// all encoded and matched through the packet codec.
+// an ICMP time-exceeded, the destination with the probe's natural reply.
+// Like the prober it builds no packets: a hop is the AS that answers.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include "dataplane/fib.h"
 #include "netbase/asn.h"
 #include "netbase/prefix.h"
-#include "probing/packet.h"
 
 namespace re::probing {
 
@@ -54,12 +53,6 @@ class Tracer {
 
   // AS-level trace from `source`. `max_ttl` bounds the walk.
   TraceResult trace(net::Asn source, int max_ttl = 32) const;
-
-  // Wire-level verification: encodes each TTL probe and the corresponding
-  // reply through the packet codec, returning false if any reply fails to
-  // match its probe (always true in a healthy build).
-  bool verify_wire(const TraceResult& result, net::IPv4Address probe_source,
-                   net::IPv4Address destination_address) const;
 
  private:
   bool is_origin(net::Asn asn) const;

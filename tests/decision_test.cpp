@@ -167,10 +167,6 @@ TEST(Decision, SelectBestSingleRoute) {
   EXPECT_EQ(result.decided_by, DecisionStep::kOnlyRoute);
 }
 
-TEST(Decision, BestIndexEmptyIsNullopt) {
-  EXPECT_FALSE(best_index({}, DecisionConfig{}).has_value());
-}
-
 TEST(Decision, DecidedByReportsLocalPref) {
   const Route a = make_route(200, 5, Asn{1});
   const Route b = make_route(100, 2, Asn{2});

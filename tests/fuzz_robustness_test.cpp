@@ -16,7 +16,6 @@
 #include "netbase/ipv4.h"
 #include "netbase/prefix.h"
 #include "netbase/rng.h"
-#include "probing/packet.h"
 
 namespace re {
 namespace {
@@ -92,32 +91,6 @@ TEST_P(FuzzSeed, PrefixRoundTripsCanonically) {
   }
 }
 
-TEST_P(FuzzSeed, UpdateLogDecoderNeverCrashes) {
-  net::Rng rng(GetParam());
-  for (int i = 0; i < 500; ++i) {
-    const std::string text = random_bytes(rng, 128);
-    const std::vector<std::uint8_t> bytes(text.begin(), text.end());
-    (void)io::decode_update_log(bytes);
-  }
-  // Bit-flip fuzz over a valid encoding: decode either fails or yields a
-  // structurally valid log (never crashes, never over-reads).
-  bgp::UpdateLog log;
-  log.record(1, net::Asn{2}, *net::Prefix::parse("10.0.0.0/24"), false,
-             bgp::AsPath{net::Asn{2}, net::Asn{3}});
-  const auto valid = io::encode_update_log(log);
-  for (int i = 0; i < 500; ++i) {
-    auto mutated = valid;
-    mutated[rng.below(mutated.size())] ^=
-        static_cast<std::uint8_t>(1u << rng.below(8));
-    const auto decoded = io::decode_update_log(mutated);
-    if (decoded.has_value()) {
-      for (const auto& update : decoded->updates()) {
-        EXPECT_LE(update.prefix.length(), 32);
-      }
-    }
-  }
-}
-
 TEST_P(FuzzSeed, ResultLineParserNeverCrashes) {
   net::Rng rng(GetParam());
   for (int i = 0; i < 1000; ++i) {
@@ -139,18 +112,6 @@ TEST_P(FuzzSeed, TopologyConfigNeverCrashes) {
     }
     bgp::BgpNetwork network(1);
     (void)io::load_topology(config, network);
-  }
-}
-
-TEST_P(FuzzSeed, PacketDecodersRejectGarbageQuietly) {
-  net::Rng rng(GetParam());
-  for (int i = 0; i < 2000; ++i) {
-    const std::string text = random_bytes(rng, 64);
-    const std::vector<std::uint8_t> bytes(text.begin(), text.end());
-    (void)probing::Ipv4Header::decode(bytes);
-    (void)probing::IcmpMessage::decode(bytes);
-    (void)probing::TcpHeader::decode(bytes);
-    (void)probing::UdpHeader::decode(bytes);
   }
 }
 

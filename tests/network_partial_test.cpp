@@ -84,38 +84,6 @@ TEST(ImportPolicy, RejectNeighborsDropsSession) {
   EXPECT_EQ(network.speaker(Asn{42})->candidates(kPrefix).size(), 1u);
 }
 
-TEST(NetworkDamping, FlappingOriginGetsSuppressedAtDampingAs) {
-  // edge(42) <- transit(10) <- origin(1), and a stable longer path
-  // edge(42) <- transit(20) <- mid(21) <- origin(1).
-  BgpNetwork network(5);
-  network.connect_transit(Asn{10}, Asn{1});
-  network.connect_transit(Asn{10}, Asn{42});
-  network.connect_transit(Asn{21}, Asn{1});
-  network.connect_transit(Asn{20}, Asn{21});
-  network.connect_transit(Asn{20}, Asn{42});
-  Speaker* edge = network.speaker(Asn{42});
-  edge->damping().enabled = true;
-
-  network.announce(Asn{1}, kPrefix);
-  network.run_to_convergence();
-  ASSERT_EQ(edge->best(kPrefix)->learned_from, Asn{10});  // shorter path
-
-  // Flap the announcement rapidly; the short path's updates accumulate
-  // penalty at the edge.
-  for (int i = 0; i < 5; ++i) {
-    network.withdraw(Asn{1}, kPrefix);
-    network.run_to_convergence();
-    network.announce(Asn{1}, kPrefix);
-    network.run_to_convergence();
-  }
-  // Both sessions flapped; after penalties, the edge may suppress one or
-  // both. Crucially, an hour later everything is usable again.
-  network.clock().advance(net::kHour);
-  network.settle(kPrefix);
-  ASSERT_NE(edge->best(kPrefix), nullptr);
-  EXPECT_EQ(edge->best(kPrefix)->learned_from, Asn{10});
-}
-
 TEST(NetworkDamping, SlowPacedChangesNeverSuppress) {
   // The §3.3 design point at network level: hour-spaced prepend changes
   // never push a damping AS into suppression.

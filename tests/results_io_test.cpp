@@ -1,8 +1,5 @@
-// Tests for result serialization: JSON result lines and the MRT-like
-// binary update-log container.
+// Tests for result serialization: JSON result lines.
 #include <gtest/gtest.h>
-
-#include <cstdio>
 
 #include "io/results_io.h"
 
@@ -95,75 +92,6 @@ TEST(ResultTokens, AllValuesRoundTrip) {
   EXPECT_EQ(side_from_token(side_token(topo::ReSide::kPeerNren)),
             topo::ReSide::kPeerNren);
   EXPECT_FALSE(side_from_token("bogus").has_value());
-}
-
-// ------------------------------------------------------------- update log
-
-bgp::UpdateLog sample_log() {
-  bgp::UpdateLog log;
-  log.record(100, net::Asn{3356}, *net::Prefix::parse("163.253.63.0/24"),
-             false, bgp::AsPath{net::Asn{3356}, net::Asn{396955}});
-  log.record(250, net::Asn{3333}, *net::Prefix::parse("163.253.63.0/24"),
-             false,
-             bgp::AsPath{net::Asn{3333}, net::Asn{1103}, net::Asn{11537}});
-  log.record(9000, net::Asn{3356}, *net::Prefix::parse("163.253.63.0/24"),
-             true, bgp::AsPath{});
-  return log;
-}
-
-TEST(UpdateLogIo, EncodeDecodeRoundTrip) {
-  const bgp::UpdateLog original = sample_log();
-  const auto bytes = encode_update_log(original);
-  const auto decoded = decode_update_log(bytes);
-  ASSERT_TRUE(decoded.has_value());
-  ASSERT_EQ(decoded->size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    const auto& a = original.updates()[i];
-    const auto& b = decoded->updates()[i];
-    EXPECT_EQ(a.time, b.time);
-    EXPECT_EQ(a.peer, b.peer);
-    EXPECT_EQ(a.prefix, b.prefix);
-    EXPECT_EQ(a.withdraw, b.withdraw);
-    // Ids live in each log's own table; compare the interned contents.
-    EXPECT_EQ(original.path(a), decoded->path(b));
-  }
-}
-
-TEST(UpdateLogIo, EmptyLogRoundTrips) {
-  const auto decoded = decode_update_log(encode_update_log(bgp::UpdateLog{}));
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->size(), 0u);
-}
-
-TEST(UpdateLogIo, RejectsCorruption) {
-  auto bytes = encode_update_log(sample_log());
-  // Bad magic.
-  auto bad_magic = bytes;
-  bad_magic[0] = 'X';
-  EXPECT_FALSE(decode_update_log(bad_magic).has_value());
-  // Truncation.
-  EXPECT_FALSE(
-      decode_update_log(std::span(bytes).subspan(0, bytes.size() - 3))
-          .has_value());
-  // Trailing garbage.
-  auto trailing = bytes;
-  trailing.push_back(0);
-  EXPECT_FALSE(decode_update_log(trailing).has_value());
-  // Wrong version.
-  auto bad_version = bytes;
-  bad_version[5] = 99;
-  EXPECT_FALSE(decode_update_log(bad_version).has_value());
-}
-
-TEST(UpdateLogIo, FileRoundTrip) {
-  const std::string path = "/tmp/re_update_log_test.bin";
-  const bgp::UpdateLog original = sample_log();
-  ASSERT_TRUE(write_update_log(path, original));
-  const auto loaded = read_update_log(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->size(), original.size());
-  std::remove(path.c_str());
-  EXPECT_FALSE(read_update_log("/tmp/definitely-missing-file.bin").has_value());
 }
 
 }  // namespace

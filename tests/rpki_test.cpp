@@ -1,4 +1,4 @@
-// Tests for the RPKI/ROA table and IRR registry.
+// Tests for the RPKI/ROA table and speaker ROV enforcement.
 #include <gtest/gtest.h>
 
 #include "bgp/rpki.h"
@@ -70,35 +70,6 @@ TEST(RoaTable, ValidateRouteUsesPathOrigin) {
   const AsPath path{Asn{3754}, Asn{11537}};
   EXPECT_EQ(table.validate_route(*Prefix::parse("163.253.63.0/24"), path),
             RovState::kValid);
-}
-
-TEST(RoaTable, CoveringSetListsAllRoas) {
-  RoaTable table;
-  table.add({*Prefix::parse("10.0.0.0/8"), 16, Asn{1}});
-  table.add({*Prefix::parse("10.1.0.0/16"), 24, Asn{2}});
-  table.add({*Prefix::parse("11.0.0.0/8"), 16, Asn{3}});
-  const auto covering = table.covering(*Prefix::parse("10.1.2.0/24"));
-  EXPECT_EQ(covering.size(), 2u);
-  EXPECT_EQ(table.size(), 3u);
-}
-
-TEST(IrrRegistry, ExactRegistration) {
-  IrrRegistry irr;
-  irr.add({*Prefix::parse("163.253.63.0/24"), Asn{11537}, "RADB"});
-  EXPECT_TRUE(irr.registered(*Prefix::parse("163.253.63.0/24"), Asn{11537}));
-  EXPECT_FALSE(irr.registered(*Prefix::parse("163.253.63.0/24"), Asn{1}));
-  // IRR route objects are exact-prefix, not covering.
-  EXPECT_FALSE(irr.registered(*Prefix::parse("163.253.63.0/25"), Asn{11537}));
-}
-
-TEST(IrrRegistry, MultipleObjectsPerPrefix) {
-  IrrRegistry irr;
-  irr.add({*Prefix::parse("10.0.0.0/24"), Asn{1}, "RADB"});
-  irr.add({*Prefix::parse("10.0.0.0/24"), Asn{2}, "RIPE"});
-  EXPECT_TRUE(irr.registered(*Prefix::parse("10.0.0.0/24"), Asn{1}));
-  EXPECT_TRUE(irr.registered(*Prefix::parse("10.0.0.0/24"), Asn{2}));
-  EXPECT_EQ(irr.objects_for(*Prefix::parse("10.0.0.0/24")).size(), 2u);
-  EXPECT_EQ(irr.size(), 2u);
 }
 
 // ------------------------------------------------ speaker ROV enforcement

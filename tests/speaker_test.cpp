@@ -265,8 +265,10 @@ TEST(Speaker, DampingSuppressesFlappingNeighbor) {
   s.receive(Asn{1}, announce(s, AsPath{Asn{1}, Asn{9}}), t);
   // The flapping route is suppressed; the stable one wins.
   EXPECT_EQ(s.best(kPrefix)->learned_from, Asn{2});
-  // After the penalty decays, reevaluation restores the shorter route.
-  EXPECT_TRUE(s.reevaluate(kPrefix, t + 3 * net::kHour));
+  // After the penalty decays, the next decision run restores the shorter
+  // route; a changed update from the stable neighbor triggers one.
+  EXPECT_TRUE(s.receive(Asn{2}, announce(s, AsPath{Asn{2}, Asn{7}, Asn{9}}),
+                        t + 3 * net::kHour));
   EXPECT_EQ(s.best(kPrefix)->learned_from, Asn{1});
 }
 

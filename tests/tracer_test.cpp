@@ -114,15 +114,6 @@ TEST(Tracer, AgreesWithReturnPathResolver) {
   EXPECT_GE(compared, 50u);
 }
 
-TEST(Tracer, WireVerificationPasses) {
-  ChainFixture f;
-  Tracer tracer(f.network, kPrefix, {Asn{1}});
-  const TraceResult result = tracer.trace(Asn{42});
-  EXPECT_TRUE(tracer.verify_wire(result,
-                                 *net::IPv4Address::parse("163.253.63.63"),
-                                 kPrefix.address_at(7)));
-}
-
 TEST(Tracer, RenderShowsPathAndDestination) {
   ChainFixture f;
   Tracer tracer(f.network, kPrefix, {Asn{1}});
