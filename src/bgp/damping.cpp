@@ -36,4 +36,41 @@ bool DampingState::suppressed(net::SimTime now,
   return true;
 }
 
+namespace {
+
+template <typename Entries>
+auto lower_bound_neighbor(Entries& entries, net::Asn neighbor) {
+  return std::lower_bound(
+      entries.begin(), entries.end(), neighbor,
+      [](const DampingTable::Entry& e, net::Asn n) { return e.first < n; });
+}
+
+}  // namespace
+
+DampingTable::DampingTable(const DampingTable& other) {
+  if (other.entries_ != nullptr) {
+    entries_ = std::make_unique<std::vector<Entry>>(*other.entries_);
+  }
+}
+
+DampingTable& DampingTable::operator=(DampingTable other) noexcept {
+  entries_ = std::move(other.entries_);
+  return *this;
+}
+
+bool DampingTable::suppressed(net::Asn neighbor, net::SimTime now,
+                              const DampingConfig& config) const {
+  if (entries_ == nullptr) return false;
+  const auto it = lower_bound_neighbor(*entries_, neighbor);
+  return it != entries_->end() && it->first == neighbor &&
+         it->second.suppressed(now, config);
+}
+
+DampingState& DampingTable::slot(net::Asn neighbor) {
+  if (entries_ == nullptr) entries_ = std::make_unique<std::vector<Entry>>();
+  const auto it = lower_bound_neighbor(*entries_, neighbor);
+  if (it != entries_->end() && it->first == neighbor) return it->second;
+  return entries_->insert(it, Entry{neighbor, DampingState{}})->second;
+}
+
 }  // namespace re::bgp

@@ -8,7 +8,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
+#include <utility>
+#include <vector>
 
+#include "netbase/asn.h"
 #include "netbase/clock.h"
 
 namespace re::bgp {
@@ -61,6 +66,49 @@ class DampingState {
   net::SimTime last_update_ = 0;
   mutable bool suppressed_ = false;
   net::SimTime suppressed_since_ = 0;
+};
+
+// One speaker's damping history for one prefix: the penalty state of each
+// neighbor whose route for the prefix flapped, ascending by neighbor. The
+// entries live out of line and the table stays null until the first
+// penalty, so the speakers that never damp (or never see a flap) pay one
+// pointer per prefix for it. Copies are deep: a cloned prefix column owns
+// its history.
+class DampingTable {
+ public:
+  using Entry = std::pair<net::Asn, DampingState>;
+
+  DampingTable() = default;
+  DampingTable(const DampingTable& other);
+  DampingTable(DampingTable&&) noexcept = default;
+  // By value: copy- and move-assignment in one.
+  DampingTable& operator=(DampingTable other) noexcept;
+
+  bool empty() const noexcept { return entries_ == nullptr; }
+  // Every entry, ascending by neighbor.
+  std::span<const Entry> entries() const noexcept {
+    return entries_ == nullptr ? std::span<const Entry>{}
+                               : std::span<const Entry>{*entries_};
+  }
+
+  // Adds `penalty` to the neighbor's state (created at zero on first use).
+  void record(net::Asn neighbor, double penalty, net::SimTime now,
+              const DampingConfig& config) {
+    slot(neighbor).record(penalty, now, config);
+  }
+  // True if the neighbor's route is suppressed at `now`. Like
+  // DampingState::suppressed, a lapsed suppression is cleared here.
+  bool suppressed(net::Asn neighbor, net::SimTime now,
+                  const DampingConfig& config) const;
+  // Sets the neighbor's state outright (the disk codec).
+  void assign(net::Asn neighbor, const DampingState& state) {
+    slot(neighbor) = state;
+  }
+
+ private:
+  DampingState& slot(net::Asn neighbor);
+
+  std::unique_ptr<std::vector<Entry>> entries_;
 };
 
 }  // namespace re::bgp

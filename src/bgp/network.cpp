@@ -22,13 +22,14 @@ std::uint32_t derive_router_id(net::Asn local, net::Asn neighbor) {
   return static_cast<std::uint32_t>(x);
 }
 
-Session make_session(net::Asn local, net::Asn neighbor, Relationship rel,
+Session make_session(net::Asn local, const Speaker& neighbor, Relationship rel,
                      bool re_edge) {
   Session s;
-  s.neighbor = neighbor;
+  s.neighbor = neighbor.asn();
+  s.neighbor_index = neighbor.index();
   s.relationship = rel;
   s.re_edge = re_edge;
-  s.router_id = derive_router_id(local, neighbor);
+  s.router_id = derive_router_id(local, s.neighbor);
   return s;
 }
 
@@ -41,6 +42,8 @@ Speaker& BgpNetwork::add_speaker(net::Asn asn) {
   const auto index = static_cast<std::uint32_t>(speakers_.size());
   index_[asn] = index;
   speakers_.push_back(std::make_unique<Speaker>(asn, &paths_, &rib_, index));
+  feeds_collector_.push_back(!collector_peers_.empty() &&
+                             collector_peers_.count(asn) != 0);
   return *speakers_.back();
 }
 
@@ -75,15 +78,15 @@ void BgpNetwork::connect_transit(net::Asn provider, net::Asn customer,
                                  bool re_edge) {
   Speaker& p = add_speaker(provider);
   Speaker& c = add_speaker(customer);
-  p.add_session(make_session(provider, customer, Relationship::kCustomer, re_edge));
-  c.add_session(make_session(customer, provider, Relationship::kProvider, re_edge));
+  p.add_session(make_session(provider, c, Relationship::kCustomer, re_edge));
+  c.add_session(make_session(customer, p, Relationship::kProvider, re_edge));
 }
 
 void BgpNetwork::connect_peering(net::Asn a, net::Asn b, bool re_edge) {
   Speaker& sa = add_speaker(a);
   Speaker& sb = add_speaker(b);
-  sa.add_session(make_session(a, b, Relationship::kPeer, re_edge));
-  sb.add_session(make_session(b, a, Relationship::kPeer, re_edge));
+  sa.add_session(make_session(a, sb, Relationship::kPeer, re_edge));
+  sb.add_session(make_session(b, sa, Relationship::kPeer, re_edge));
 }
 
 net::SimTime BgpNetwork::edge_delay(net::Asn from, net::Asn to,
@@ -109,8 +112,9 @@ net::SimTime BgpNetwork::edge_delay(net::Asn from, net::Asn to,
 }
 
 void BgpNetwork::enqueue(PrefixColumn& column, std::uint32_t id, net::Asn from,
-                         net::Asn to, const UpdateMessage& update,
+                         const Session& to_session, const UpdateMessage& update,
                          net::SimTime now) {
+  const net::Asn to = to_session.neighbor;
   PendingMessage msg;
   EdgeFlowState& flow = column.edge_flow[edge_key(from, to)];
   msg.deliver_at = now + edge_delay(from, to, update.prefix, flow.sent);
@@ -124,6 +128,7 @@ void BgpNetwork::enqueue(PrefixColumn& column, std::uint32_t id, net::Asn from,
   msg.seq = next_seq_++;
   msg.from = from;
   msg.to = to;
+  msg.to_index = to_session.neighbor_index;
   msg.update = update;
   Channel& channel = channels_[id];
   channel.queue.push(msg);
@@ -166,31 +171,28 @@ void BgpNetwork::flush_exports(Speaker& from, const net::Prefix& prefix,
         column.sent.insert_or_assign(
             key, SentState{false, announcement->path, announcement->origin});
       }
-      enqueue(column, id, from.asn(), session.neighbor, *announcement, now);
+      enqueue(column, id, from.asn(), session, *announcement, now);
     } else {
       if (it == column.sent.end() || it->second.withdrawn) continue;
       it->second = SentState{};
       UpdateMessage withdraw;
       withdraw.prefix = prefix;
       withdraw.withdraw = true;
-      enqueue(column, id, from.asn(), session.neighbor, withdraw, now);
+      enqueue(column, id, from.asn(), session, withdraw, now);
     }
   }
-  if (collector_peers_.count(from.asn()) != 0) {
-    record_collector(from.asn(), prefix, now);
-  }
+  if (feeds_collector_[from.index()]) record_collector(from, prefix, now);
 }
 
-void BgpNetwork::record_collector(net::Asn peer, const net::Prefix& prefix,
+void BgpNetwork::record_collector(const Speaker& s, const net::Prefix& prefix,
                                   net::SimTime now) {
-  Speaker* s = speaker(peer);
-  if (s == nullptr) return;
+  const net::Asn peer = s.asn();
   // Take the column for writing before reading the view from it: a clone
   // replaces the handle, and `view` must point into the kept copy.
   auto& collector_sent = rib_.write(channel_for(prefix)).collector_sent;
   // A VRF-split AS feeds the collector from its commodity VRF (§4.1.1).
   const Route* view =
-      s->vrf_split_export() ? s->best_commodity(prefix) : s->best(prefix);
+      s.vrf_split_export() ? s.best_commodity(prefix) : s.best(prefix);
   auto it = collector_sent.find(peer);
   if (view != nullptr) {
     const PathId exported = paths_.prepended(view->path, peer, 1);
@@ -255,8 +257,8 @@ void BgpNetwork::fail_session(net::Asn a, net::Asn b, const net::Prefix& prefix)
     if (s->invalidate_neighbor_route(remote, prefix, clock_.now())) {
       flush_exports(*s, prefix, clock_.now());
     }
-    if (collector_peers_.count(local) != 0) {
-      record_collector(local, prefix, clock_.now());
+    if (feeds_collector_[s->index()]) {
+      record_collector(*s, prefix, clock_.now());
     }
     // Forget what was sent over the dead session so that restoration
     // re-advertises from scratch.
@@ -355,17 +357,18 @@ std::vector<net::Prefix> BgpNetwork::dirty_prefixes() const {
 
 void BgpNetwork::deliver(const PendingMessage& msg, ConvergenceStats& stats,
                          net::SimTime now) {
-  Speaker* to = speaker(msg.to);
-  if (to == nullptr) return;
+  // A decoded snapshot may queue messages to an AS that is no speaker.
+  if (msg.to_index >= speakers_.size()) return;
+  Speaker& to = *speakers_[msg.to_index];
   ++stats.messages_delivered;
-  const bool changed = to->receive(msg.from, msg.update, now);
+  const bool changed = to.receive(msg.from, msg.update, now);
   if (changed) {
     ++stats.best_changes;
-    flush_exports(*to, msg.update.prefix, now);
-  } else if (collector_peers_.count(msg.to) != 0) {
+    flush_exports(to, msg.update.prefix, now);
+  } else if (feeds_collector_[msg.to_index]) {
     // The exported best may be unchanged while the commodity-VRF view
     // (what this peer feeds the collector) changed.
-    record_collector(msg.to, msg.update.prefix, now);
+    record_collector(to, msg.update.prefix, now);
   }
 }
 
@@ -493,6 +496,9 @@ void BgpNetwork::add_collector_peer(net::Asn peer) {
   // and a miss walks the whole probe run, which grows sharply with load.
   collector_peers_.reserve(4 * (collector_peers_.size() + 1));
   collector_peers_.insert(peer);
+  if (const auto it = index_.find(peer); it != index_.end()) {
+    feeds_collector_[it->second] = 1;
+  }
 }
 
 void BgpNetwork::clear_prefix(const net::Prefix& prefix) {

@@ -36,6 +36,11 @@
 // maps are open-addressing FlatMaps. One table per network also keeps
 // parallel sweeps share-nothing: two networks never touch the same arena.
 //
+// Delivery is index-addressed: each session carries its neighbor's dense
+// speaker index and each queued message its receiver's, so delivering and
+// flushing index speakers_ and a per-speaker collector flag instead of
+// hashing ASNs. Neither index is encoded; Snapshot::decode rebuilds both.
+//
 // All per-prefix state lives in the network's RibStore (rib_store.h): one
 // prefix column per channel slot, holding every speaker's RIB entry for
 // the prefix plus the prefix's per-edge duplicate-suppression, FIFO-clamp
@@ -284,6 +289,9 @@ class BgpNetwork {
     std::uint64_t seq = 0;
     net::Asn from;
     net::Asn to;
+    // `to`'s dense speaker index (kNoIndex: no such speaker). Never
+    // encoded; Snapshot::decode rebuilds it from the speaker order.
+    std::uint32_t to_index = Session::kNoIndex;
     UpdateMessage update;  // path is a PathId — queuing copies no heap data
   };
   struct LaterFirst {
@@ -327,13 +335,17 @@ class BgpNetwork {
   void flush_exports(Speaker& from, const net::Prefix& prefix,
                      net::SimTime now);
 
-  // Records the collector view of `peer` for `prefix` if it changed.
-  void record_collector(net::Asn peer, const net::Prefix& prefix,
+  // Records the collector view of collector peer `s` for `prefix` if it
+  // changed.
+  void record_collector(const Speaker& s, const net::Prefix& prefix,
                         net::SimTime now);
 
-  // `column` is the update's prefix column (its edge flow state).
+  // Queues `update` from `from` over `to_session` (one of `from`'s; the
+  // message carries its neighbor index). `column` is the update's prefix
+  // column (its edge flow state).
   void enqueue(PrefixColumn& column, std::uint32_t channel, net::Asn from,
-               net::Asn to, const UpdateMessage& update, net::SimTime now);
+               const Session& to_session, const UpdateMessage& update,
+               net::SimTime now);
 
   // Delivers one message at its tick.
   void deliver(const PendingMessage& msg, ConvergenceStats& stats,
@@ -402,6 +414,9 @@ class BgpNetwork {
   RoundObserver round_observer_;  // round-boundary hook (see setter)
 
   net::FlatSet<net::Asn> collector_peers_;
+  // By dense speaker index: 1 if the speaker feeds a collector, so the
+  // delivery path tests membership without hashing.
+  std::vector<std::uint8_t> feeds_collector_;
   UpdateLog log_;
 
   std::vector<PendingMessage> round_;  // current round, seq order (scratch)

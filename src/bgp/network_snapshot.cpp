@@ -81,9 +81,21 @@ void BgpNetwork::restore(const Snapshot& snap) {
   rib_.assign(snap.prefixes, snap.columns);
   speakers_.clear();
   index_.clear();
+  feeds_collector_.clear();
+  // Cleared first, so add_speaker below looks nothing up in it; the flags
+  // are set from the snapshot's (small) peer set afterwards.
+  collector_peers_.clear();
   reserve_topology(snap.speakers.size());
   for (const Speaker::Snapshot& speaker : snap.speakers) {
     add_speaker(speaker.asn).restore(speaker);
+  }
+  collector_peers_ = snap.collector_peers;
+  // 4x headroom, as in add_collector_peer.
+  collector_peers_.reserve(4 * collector_peers_.size());
+  for (const net::Asn peer : collector_peers_) {
+    if (const std::size_t* idx = index_.find_concurrent(peer)) {
+      feeds_collector_[*idx] = 1;
+    }
   }
   channels_.clear();
   channels_.resize(rib_.size());
@@ -103,8 +115,6 @@ void BgpNetwork::restore(const Snapshot& snap) {
     ++total_pending_;
   }
   next_seq_ = snap.next_seq;
-  collector_peers_ = snap.collector_peers;
-  collector_peers_.reserve(4 * collector_peers_.size());  // see add_collector_peer
   log_ = snap.log;
 }
 
@@ -423,6 +433,24 @@ BgpNetwork::Snapshot BgpNetwork::Snapshot::decode(net::BinaryReader& r) {
       column_for(state.prefix).states.insert_or_assign(i, std::move(state));
     }
   }
+  // Dense speaker indices are not encoded. restore() numbers speakers in
+  // record order (an ASN seen again keeps its first index); every session
+  // and queued message is pointed at its neighbor's number here.
+  net::FlatMap<net::Asn, std::uint32_t> index_of;
+  index_of.reserve(2 * snap.speakers.size());
+  for (const Speaker::Snapshot& speaker : snap.speakers) {
+    index_of.insert(
+        {speaker.asn, static_cast<std::uint32_t>(index_of.size())});
+  }
+  const auto index_for = [&](net::Asn asn) {
+    const std::uint32_t* idx = index_of.find_concurrent(asn);
+    return idx == nullptr ? Session::kNoIndex : *idx;
+  };
+  for (Speaker::Snapshot& speaker : snap.speakers) {
+    for (Session& session : speaker.sessions) {
+      session.neighbor_index = index_for(session.neighbor);
+    }
+  }
 
   const std::uint64_t queue_count = r.length(std::uint64_t{1} << 32);
   for (std::uint64_t i = 0; i < queue_count && !r.failed(); ++i) {
@@ -431,6 +459,7 @@ BgpNetwork::Snapshot BgpNetwork::Snapshot::decode(net::BinaryReader& r) {
     msg.seq = r.u64();
     msg.from = net::Asn{r.u32()};
     msg.to = net::Asn{r.u32()};
+    msg.to_index = index_for(msg.to);
     msg.update = decode_update(r);
     snap.queue.push_back(msg);
   }

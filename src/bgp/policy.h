@@ -48,6 +48,13 @@ struct Session {
   // to prefixes absent from the RIB egresses here. Members with hidden
   // commodity transit (§4.2 "no commodity" discussion) use this.
   bool default_route = false;
+
+  // The neighbor's dense speaker index in the owning BgpNetwork, so the
+  // delivery path addresses it without hashing its ASN. Set by the
+  // network when it connects the session; never encoded (decoding a
+  // snapshot rebuilds it). kNoIndex on standalone speakers.
+  static constexpr std::uint32_t kNoIndex = static_cast<std::uint32_t>(-1);
+  std::uint32_t neighbor_index = kNoIndex;
 };
 
 // The relative stance a network takes between R&E and commodity routes —

@@ -2,11 +2,12 @@
 //
 // All per-prefix BGP state lives in one place: a PrefixColumn per prefix
 // slot. A column holds every speaker's PrefixState for the prefix (Adj-RIB-
-// In, Loc-RIB best, origination, damping), keyed sparsely by the dense
-// speaker index, plus the prefix's per-directed-edge state: what was last
-// sent on each edge (duplicate suppression), the edge's FIFO clamp and
-// jitter counter, and what each collector feed last recorded. Slot ids are
-// the network's channel ids, so clearing a prefix drops one column.
+// In as a vector sorted by neighbor, Loc-RIB best, origination, and an
+// out-of-line damping table), keyed sparsely by the dense speaker index,
+// plus the prefix's per-directed-edge state: what was last sent on each
+// edge (duplicate suppression), the edge's FIFO clamp and jitter counter,
+// and what each collector feed last recorded. Slot ids are the network's
+// channel ids, so clearing a prefix drops one column.
 //
 // A RibStore holds its columns through shared handles, which is what makes
 // checkpoint/fork cheap: a snapshot copies the handle vector (one pointer
@@ -50,18 +51,23 @@ struct OriginationOptions {
   bool re_only = false;
 };
 
-// One speaker's state for one prefix.
+// One speaker's state for one prefix. Kept small (see the static_assert
+// below): a warm fork clones every state of each column it writes.
 struct PrefixState {
   net::Prefix prefix;
-  // One entry per neighbor that currently advertises the prefix to us.
-  net::FlatMap<net::Asn, Route> in;
+  // One route per neighbor that currently advertises the prefix to us,
+  // strictly ascending by learned_from: the order the decision process
+  // folds its candidates in, so it can read them in place.
+  std::vector<Route> in;
   bool local = false;
   OriginationOptions origination;
+  DecisionStep decided_by = DecisionStep::kOnlyRoute;
   net::SimTime local_since = 0;
   std::optional<Route> best;
-  DecisionStep decided_by = DecisionStep::kOnlyRoute;
-  net::FlatMap<net::Asn, DampingState> damping;
+  DampingTable damping;  // out of line, null until the first penalty
 };
+static_assert(sizeof(PrefixState) <= 136,
+              "PrefixState is copied per speaker on every column clone");
 
 // What was last sent on a directed edge for a prefix (announce content or
 // withdrawal), to suppress duplicate updates.

@@ -22,6 +22,19 @@ bool same_route_content(const Route& a, const Route& b) {
          a.local_pref == b.local_pref && a.re_only == b.re_only;
 }
 
+// Where `neighbor`'s route sits in a sorted Adj-RIB-In, or would go.
+std::vector<Route>::iterator find_route(std::vector<Route>& in,
+                                        net::Asn neighbor) {
+  return std::lower_bound(
+      in.begin(), in.end(), neighbor,
+      [](const Route& route, net::Asn n) { return route.learned_from < n; });
+}
+
+bool holds(const std::vector<Route>& in, std::vector<Route>::iterator it,
+           net::Asn neighbor) {
+  return it != in.end() && it->learned_from == neighbor;
+}
+
 }  // namespace
 
 void Speaker::add_session(Session session) {
@@ -45,9 +58,12 @@ bool Speaker::invalidate_neighbor_route(net::Asn neighbor,
                                         const net::Prefix& prefix,
                                         net::SimTime now) {
   PrefixState* state = rib_->find_for_write(index_, prefix);
-  if (state == nullptr || state->in.erase(neighbor) == 0) return false;
+  if (state == nullptr) return false;
+  const auto it = find_route(state->in, neighbor);
+  if (!holds(state->in, it, neighbor)) return false;
+  state->in.erase(it);
   if (damping_.enabled) {
-    state->damping[neighbor].record(damping_.withdraw_penalty, now, damping_);
+    state->damping.record(neighbor, damping_.withdraw_penalty, now, damping_);
   }
   return run_decision(*state, now);
 }
@@ -83,20 +99,14 @@ bool Speaker::receive(net::Asn neighbor, const UpdateMessage& update,
   // way TCP segments on a dead session are.
   if (session_failed(neighbor, update.prefix)) return false;
   PrefixState& state = rib_->state_for_write(index_, update.prefix);
-  // First touch of this prefix: size the Adj-RIB-In for the number of
-  // neighbors that could ever advertise it (capped — hub ASes with
-  // hundreds of sessions rarely hear a prefix from more than a few dozen)
-  // so the first convergence wave doesn't rehash per insert.
-  if (state.in.empty()) {
-    state.in.reserve(std::min(sessions_.size(), std::size_t{48}));
-  }
+  const auto it = find_route(state.in, neighbor);
+  const bool held = holds(state.in, it, neighbor);
 
   if (update.withdraw) {
-    const auto it = state.in.find(neighbor);
-    if (it == state.in.end()) return false;
+    if (!held) return false;
     state.in.erase(it);
     if (damping_.enabled) {
-      state.damping[neighbor].record(damping_.withdraw_penalty, now, damping_);
+      state.damping.record(neighbor, damping_.withdraw_penalty, now, damping_);
     }
     return run_decision(state, now);
   }
@@ -111,8 +121,7 @@ bool Speaker::receive(net::Asn neighbor, const UpdateMessage& update,
           RovState::kInvalid;
   if (paths_->contains(update.path, asn_) || !import_.accepts(*session) ||
       rov_invalid) {
-    const auto it = state.in.find(neighbor);
-    if (it == state.in.end()) return false;
+    if (!held) return false;
     state.in.erase(it);
     return run_decision(state, now);
   }
@@ -130,19 +139,18 @@ bool Speaker::receive(net::Asn neighbor, const UpdateMessage& update,
   route.re_edge = session->re_edge;
   route.re_only = update.re_only;
 
-  const auto it = state.in.find(neighbor);
-  if (it != state.in.end() && same_route_content(it->second, route)) {
+  if (held && same_route_content(*it, route)) {
     return false;  // duplicate announcement; age is preserved
   }
   route.established_at = now;
-  if (damping_.enabled && it != state.in.end()) {
-    state.damping[neighbor].record(damping_.attribute_change_penalty, now,
-                                   damping_);
-  }
-  if (it != state.in.end()) {
-    it->second = route;  // reuse the slot located by find() above
+  if (held) {
+    if (damping_.enabled) {
+      state.damping.record(neighbor, damping_.attribute_change_penalty, now,
+                           damping_);
+    }
+    *it = route;
   } else {
-    state.in[neighbor] = route;
+    state.in.insert(it, route);
   }
   return run_decision(state, now);
 }
@@ -171,28 +179,28 @@ bool Speaker::originates(const net::Prefix& prefix) const {
 }
 
 bool Speaker::run_decision(PrefixState& state, net::SimTime now) {
-  std::vector<Route>& candidates = candidate_scratch_;
-  candidates.clear();
-  candidates.reserve(state.in.size() + 1);
-  if (state.local) {
-    Route local = make_local_route(state.prefix, state.local_since);
-    local.re_only = state.origination.re_only;
-    candidates.push_back(std::move(local));
-  }
-  for (const auto& [neighbor, route] : state.in) {
-    if (damping_.enabled) {
-      const auto dit = state.damping.find(neighbor);
-      if (dit != state.damping.end() && dit->second.suppressed(now, damping_)) {
-        continue;
+  // Candidates fold in ascending learned_from order, the local route
+  // (learned_from invalid, the lowest) first. The Adj-RIB-In is kept in
+  // that order, so it is the candidate set unless a local route joins it
+  // or damping may remove some of it.
+  std::span<const Route> candidates = state.in;
+  const bool damps = damping_.enabled && !state.damping.empty();
+  if (state.local || damps) {
+    std::vector<Route>& scratch = candidate_scratch_;
+    scratch.clear();
+    if (state.local) {
+      Route local = make_local_route(state.prefix, state.local_since);
+      local.re_only = state.origination.re_only;
+      scratch.push_back(std::move(local));
+    }
+    for (const Route& route : state.in) {
+      if (!damps || !state.damping.suppressed(route.learned_from, now,
+                                              damping_)) {
+        scratch.push_back(route);
       }
     }
-    candidates.push_back(route);
+    candidates = scratch;
   }
-  // Deterministic candidate order regardless of hash-map iteration.
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Route& a, const Route& b) {
-              return a.learned_from < b.learned_from;
-            });
 
   std::optional<Route> new_best;
   DecisionStep decided = DecisionStep::kOnlyRoute;
@@ -225,16 +233,9 @@ const Route* Speaker::best_commodity(const net::Prefix& prefix) const {
   const PrefixState* state = rib_->state(index_, prefix);
   if (state == nullptr) return nullptr;
   const Route* best = nullptr;
-  std::vector<const Route*> commodity;
-  for (const auto& [neighbor, route] : state->in) {
-    if (!route.re_edge) commodity.push_back(&route);
-  }
-  std::sort(commodity.begin(), commodity.end(),
-            [](const Route* a, const Route* b) {
-              return a->learned_from < b->learned_from;
-            });
-  for (const Route* route : commodity) {
-    if (best == nullptr || better_route(*route, *best, decision_)) best = route;
+  for (const Route& route : state->in) {  // ascending learned_from
+    if (route.re_edge) continue;
+    if (best == nullptr || better_route(route, *best, decision_)) best = &route;
   }
   return best;
 }
@@ -244,15 +245,13 @@ std::vector<Route> Speaker::candidates(const net::Prefix& prefix) const {
   const PrefixState* state = rib_->state(index_, prefix);
   if (state == nullptr) return out;
   // Damping state mutates lazily; expose the undamped view plus local.
+  out.reserve(state->in.size() + 1);
   if (state->local) {
     Route local = make_local_route(prefix, state->local_since);
     local.re_only = state->origination.re_only;
     out.push_back(std::move(local));
   }
-  for (const auto& [neighbor, route] : state->in) out.push_back(route);
-  std::sort(out.begin(), out.end(), [](const Route& a, const Route& b) {
-    return a.learned_from < b.learned_from;
-  });
+  out.insert(out.end(), state->in.begin(), state->in.end());
   return out;
 }
 
@@ -314,20 +313,6 @@ std::optional<UpdateMessage> Speaker::ExportProbe::announcement(
     return std::nullopt;
   }
   return msg;
-}
-
-std::optional<UpdateMessage> Speaker::eligible_announcement(
-    const Session& to, const net::Prefix& prefix) const {
-  return export_probe(prefix).announcement(to);
-}
-
-std::optional<UpdateMessage> Speaker::export_to(const Session& to,
-                                                const net::Prefix& prefix) const {
-  if (auto announcement = eligible_announcement(to, prefix)) return announcement;
-  UpdateMessage withdraw;
-  withdraw.prefix = prefix;
-  withdraw.withdraw = true;
-  return withdraw;
 }
 
 void Speaker::clear_prefix(const net::Prefix& prefix) {
@@ -539,6 +524,19 @@ void encode_damping_config(net::BinaryWriter& w, const DampingConfig& config) {
   w.i64(config.max_suppress);
   w.f64(config.max_penalty);
 }
+// One (speaker, prefix) damping table, ascending by neighbor.
+void encode_damping(net::BinaryWriter& w, const DampingTable& table) {
+  w.u64(table.entries().size());
+  for (const auto& [neighbor, state] : table.entries()) {
+    encode_asn(w, neighbor);
+    const DampingState::Raw raw = state.raw();
+    w.f64(raw.penalty);
+    w.i64(raw.last_update);
+    w.boolean(raw.suppressed);
+    w.i64(raw.suppressed_since);
+  }
+}
+
 DampingConfig decode_damping_config(net::BinaryReader& r) {
   DampingConfig config;
   config.enabled = r.boolean();
@@ -576,9 +574,9 @@ void Speaker::Snapshot::encode(net::BinaryWriter& w,
     const PrefixState& state = *entry;
     encode_prefix(w, state.prefix);
     w.u64(state.in.size());
-    for (const auto* route_kv : net::sorted_by_key(state.in)) {
-      encode_asn(w, route_kv->first);
-      encode_route(w, route_kv->second);
+    for (const Route& route : state.in) {  // ascending learned_from
+      encode_asn(w, route.learned_from);
+      encode_route(w, route);
     }
     w.boolean(state.local);
     w.boolean(state.origination.to_re_sessions);
@@ -588,15 +586,7 @@ void Speaker::Snapshot::encode(net::BinaryWriter& w,
     w.boolean(state.best.has_value());
     if (state.best.has_value()) encode_route(w, *state.best);
     w.u8(static_cast<std::uint8_t>(state.decided_by));
-    w.u64(state.damping.size());
-    for (const auto* damp_kv : net::sorted_by_key(state.damping)) {
-      encode_asn(w, damp_kv->first);
-      const DampingState::Raw raw = damp_kv->second.raw();
-      w.f64(raw.penalty);
-      w.i64(raw.last_update);
-      w.boolean(raw.suppressed);
-      w.i64(raw.suppressed_since);
-    }
+    encode_damping(w, state.damping);
   }
 
   w.u64(failed.size());
@@ -638,10 +628,21 @@ Speaker::Snapshot Speaker::Snapshot::decode(net::BinaryReader& r,
     PrefixState& state = rib.emplace_back();
     state.prefix = decode_prefix(r);
     const std::uint64_t in_count = r.length(1u << 26);
-    for (std::uint64_t j = 0; j < in_count; ++j) {
-      const net::Asn neighbor = decode_asn(r);
-      state.in[neighbor] = decode_route(r);
+    for (std::uint64_t j = 0; j < in_count && !r.failed(); ++j) {
+      (void)decode_asn(r);  // the key repeats the route's learned_from
+      state.in.push_back(decode_route(r));
     }
+    // Written ascending; sorting and dropping repeats keeps a corrupt
+    // file from breaking the Adj-RIB-In's order.
+    std::sort(state.in.begin(), state.in.end(),
+              [](const Route& a, const Route& b) {
+                return a.learned_from < b.learned_from;
+              });
+    const auto repeat = std::unique(state.in.begin(), state.in.end(),
+                                    [](const Route& a, const Route& b) {
+                                      return a.learned_from == b.learned_from;
+                                    });
+    state.in.erase(repeat, state.in.end());
     state.local = r.boolean();
     state.origination.to_re_sessions = r.boolean();
     state.origination.to_commodity_sessions = r.boolean();
@@ -650,14 +651,14 @@ Speaker::Snapshot Speaker::Snapshot::decode(net::BinaryReader& r,
     if (r.boolean()) state.best = decode_route(r);
     state.decided_by = static_cast<DecisionStep>(r.u8());
     const std::uint64_t damp_count = r.length(1u << 26);
-    for (std::uint64_t j = 0; j < damp_count; ++j) {
+    for (std::uint64_t j = 0; j < damp_count && !r.failed(); ++j) {
       const net::Asn neighbor = decode_asn(r);
       DampingState::Raw raw;
       raw.penalty = r.f64();
       raw.last_update = r.i64();
       raw.suppressed = r.boolean();
       raw.suppressed_since = r.i64();
-      state.damping[neighbor] = DampingState::from_raw(raw);
+      state.damping.assign(neighbor, DampingState::from_raw(raw));
     }
   }
 
@@ -701,9 +702,9 @@ void Speaker::encode_prefix_state(const net::Prefix& prefix,
   if (found != nullptr) {
     const PrefixState& state = *found;
     w.u64(state.in.size());
-    for (const auto* kv : net::sorted_by_key(state.in)) {
-      encode_asn(w, kv->first);
-      content_route(kv->second);
+    for (const Route& route : state.in) {
+      encode_asn(w, route.learned_from);
+      content_route(route);
     }
     w.boolean(state.local);
     w.boolean(state.origination.to_re_sessions);
@@ -713,15 +714,7 @@ void Speaker::encode_prefix_state(const net::Prefix& prefix,
     w.boolean(state.best.has_value());
     if (state.best.has_value()) content_route(*state.best);
     w.u8(static_cast<std::uint8_t>(state.decided_by));
-    w.u64(state.damping.size());
-    for (const auto* kv : net::sorted_by_key(state.damping)) {
-      encode_asn(w, kv->first);
-      const DampingState::Raw raw = kv->second.raw();
-      w.f64(raw.penalty);
-      w.i64(raw.last_update);
-      w.boolean(raw.suppressed);
-      w.i64(raw.suppressed_since);
-    }
+    encode_damping(w, state.damping);
   }
 
   std::vector<net::Asn> failed_neighbors;

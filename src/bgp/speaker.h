@@ -12,9 +12,11 @@
 // reached through the speaker's dense index; a standalone speaker (tests,
 // micro-benches) owns a private store. AS paths are hash-consed: routes
 // and update messages carry PathIds into the PathTable shared across the
-// owning network (see path_table.h), and the RIB maps are open-addressing
-// FlatMaps, so the receive → decide → export loop runs without heap
-// allocation in the steady state.
+// owning network (see path_table.h). Each Adj-RIB-In is a vector sorted by
+// neighbor, which is the decision process's candidate order: a speaker
+// that neither originates the prefix nor holds damping history for it
+// decides over it in place, with no copy and no sort, and the receive →
+// decide → export loop runs without heap allocation in the steady state.
 #pragma once
 
 #include <cstdint>
@@ -148,29 +150,18 @@ class Speaker {
   DecisionStep best_decided_by(const net::Prefix& prefix) const;
 
   // Best route considering only commodity-learned candidates (what a
-  // vrf_split_export AS shows a public collector).
+  // vrf_split_export AS shows a public collector). One pass over the
+  // sorted Adj-RIB-In; allocates nothing.
   const Route* best_commodity(const net::Prefix& prefix) const;
 
-  // All Adj-RIB-In candidates currently eligible for selection.
+  // The local route (if originated) followed by the Adj-RIB-In in
+  // ascending learned_from order. Damping is not applied: suppressed
+  // routes are included.
   std::vector<Route> candidates(const net::Prefix& prefix) const;
 
   bool has_route(const net::Prefix& prefix) const { return best(prefix) != nullptr; }
 
   // --- Export -------------------------------------------------------------
-
-  // The update this AS would currently send to `to` for `prefix`:
-  // an announcement (with prepending applied), a withdrawal
-  // (withdraw=true), or nullopt when nothing was ever advertised and
-  // nothing is eligible.
-  //
-  // Statless with respect to advertisement history; the network layer
-  // tracks what was previously sent and suppresses duplicates.
-  std::optional<UpdateMessage> export_to(const Session& to,
-                                         const net::Prefix& prefix) const;
-
-  // The announcement content toward `to` if eligible, nullopt otherwise.
-  std::optional<UpdateMessage> eligible_announcement(
-      const Session& to, const net::Prefix& prefix) const;
 
   // Per-(speaker, prefix) export view: resolves the prefix state, the
   // best route, and the split-horizon session once, then answers the
@@ -224,7 +215,9 @@ class Speaker {
   std::vector<net::Prefix> known_prefixes() const;
 
  private:
-  // Recomputes `state.best`; returns true on change.
+  // Recomputes `state.best`; returns true on change. Decides over
+  // `state.in` in place unless a local route or a damping table means
+  // the candidate set differs from it.
   bool run_decision(PrefixState& state, net::SimTime now);
 
   Route make_local_route(const net::Prefix& prefix, net::SimTime since) const;

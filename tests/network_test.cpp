@@ -2,7 +2,10 @@
 // failures, collectors, and determinism.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bgp/network.h"
+#include "netbase/binio.h"
 #include "topology/ecosystem.h"
 
 namespace re::bgp {
@@ -176,6 +179,76 @@ TEST(BgpNetwork, NoUpdateCrossesFailedSession) {
   const std::vector<Route> candidates = edge->candidates(kPrefix);
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates.front().learned_from, other);
+}
+
+TEST(BgpNetwork, WithdrawsFromPeerWhenBestBecomesIneligible) {
+  // 10 hears the prefix from its customer 1 (exportable to its peer 30)
+  // and, longer, from its provider 20 (not exportable to a peer). Losing
+  // the customer route leaves 10 with a best it may not export to 30, so
+  // 30 must be sent a withdrawal, not kept on the stale announcement.
+  BgpNetwork network(1);
+  network.connect_transit(Asn{10}, Asn{1});
+  network.connect_transit(Asn{5}, Asn{1});
+  network.connect_transit(Asn{20}, Asn{5});
+  network.connect_transit(Asn{20}, Asn{10});
+  network.connect_peering(Asn{10}, Asn{30});
+  network.announce(Asn{1}, kPrefix);
+  network.run_to_convergence();
+  ASSERT_NE(network.speaker(Asn{30})->best(kPrefix), nullptr);
+  EXPECT_EQ(network.speaker(Asn{30})->best(kPrefix)->learned_from, Asn{10});
+
+  network.fail_session(Asn{1}, Asn{10}, kPrefix);
+  network.run_to_convergence();
+  ASSERT_NE(network.speaker(Asn{10})->best(kPrefix), nullptr);
+  EXPECT_EQ(network.speaker(Asn{10})->best(kPrefix)->learned_from, Asn{20});
+  EXPECT_EQ(network.speaker(Asn{30})->best(kPrefix), nullptr);
+}
+
+TEST(BgpNetwork, DampingSurvivesSnapshotCodecAndFork) {
+  // 10 damps and hears the prefix from 2 (short) and 3 (via 4, longer).
+  // Three failures of the 10-2 session suppress 2's route; once restored
+  // it is held but not used. A fork, in memory or through the disk codec,
+  // must keep that suppression: losing 3's route leaves 10 with nothing.
+  BgpNetwork network(1);
+  network.connect_transit(Asn{2}, Asn{1});
+  network.connect_transit(Asn{4}, Asn{1});
+  network.connect_transit(Asn{3}, Asn{4});
+  network.connect_transit(Asn{2}, Asn{10});
+  network.connect_transit(Asn{3}, Asn{10});
+  network.speaker(Asn{10})->damping().enabled = true;
+  network.announce(Asn{1}, kPrefix);
+  network.run_to_convergence();
+  ASSERT_EQ(network.speaker(Asn{10})->best(kPrefix)->learned_from, Asn{2});
+  for (int flap = 0; flap < 3; ++flap) {
+    network.fail_session(Asn{10}, Asn{2}, kPrefix);
+    network.run_to_convergence();
+    network.restore_session(Asn{10}, Asn{2}, kPrefix);
+    network.run_to_convergence();
+  }
+  const Speaker& damped = *network.speaker(Asn{10});
+  ASSERT_EQ(damped.candidates(kPrefix).size(), 2u);  // 2's route is held
+  ASSERT_EQ(damped.best(kPrefix)->learned_from, Asn{3});
+
+  const BgpNetwork::Snapshot snap = network.checkpoint();
+  net::BinaryWriter writer;
+  snap.encode(writer);
+  const std::vector<std::uint8_t> bytes = writer.bytes();
+  net::BinaryReader reader(bytes);
+  const BgpNetwork::Snapshot decoded = BgpNetwork::Snapshot::decode(reader);
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(decoded.digest(), snap.digest());
+
+  auto in_memory = snap.fork();
+  auto from_disk = decoded.fork();
+  for (BgpNetwork* fork : {in_memory.get(), from_disk.get()}) {
+    fork->fail_session(Asn{10}, Asn{3}, kPrefix);
+    fork->run_to_convergence();
+    EXPECT_EQ(fork->speaker(Asn{10})->candidates(kPrefix).size(), 1u);
+    EXPECT_EQ(fork->speaker(Asn{10})->best(kPrefix), nullptr);
+  }
+  EXPECT_EQ(in_memory->state_digest(), from_disk->state_digest());
+  // The forks' writes cloned the column; the source still decides as before.
+  EXPECT_EQ(damped.best(kPrefix)->learned_from, Asn{3});
 }
 
 TEST(BgpNetwork, CollectorRecordsAnnounceAndWithdraw) {

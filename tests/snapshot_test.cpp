@@ -112,6 +112,42 @@ TEST_F(SnapshotFixture, SnapshotEncodeDecodeRoundTripsDigest) {
   EXPECT_EQ(decoded.fork()->state_digest(), base.network.fork()->state_digest());
 }
 
+TEST_F(SnapshotFixture, DiskCodecResumesWithMessagesInFlight) {
+  // A network stopped mid-convergence, written to disk and read back,
+  // must finish exactly as the original does. Dense delivery indices
+  // (each session's and queued message's receiver) are never encoded, so
+  // this pins that decoding rebuilds them, queue and all.
+  bgp::BgpNetwork original(77);
+  world().ecosystem.build_network(original);
+  int announced = 0;
+  for (const topo::PrefixRecord& record : world().ecosystem.prefixes()) {
+    if (announced++ == 8) break;
+    original.announce(record.origin, record.prefix);
+  }
+  const bgp::ConvergenceStats partial =
+      original.run_until(original.clock().now() + 15);
+  ASSERT_FALSE(partial.fully_converged);
+  ASSERT_GT(partial.messages_delivered, 0u);
+  ASSERT_GT(original.pending_messages(), 0u);
+
+  net::BinaryWriter writer;
+  original.checkpoint().encode(writer);
+  const std::vector<std::uint8_t> bytes = writer.bytes();
+  net::BinaryReader reader(bytes);
+  const bgp::NetworkSnapshot decoded = bgp::NetworkSnapshot::decode(reader);
+  ASSERT_TRUE(reader.ok());
+  const auto resumed = decoded.fork();
+  EXPECT_EQ(resumed->pending_messages(), original.pending_messages());
+
+  const bgp::ConvergenceStats expected = original.run_to_convergence();
+  const bgp::ConvergenceStats actual = resumed->run_to_convergence();
+  ASSERT_TRUE(actual.fully_converged);
+  EXPECT_GT(actual.messages_delivered, 0u);
+  EXPECT_EQ(actual.messages_delivered, expected.messages_delivered);
+  EXPECT_EQ(actual.best_changes, expected.best_changes);
+  EXPECT_EQ(resumed->state_digest(), original.state_digest());
+}
+
 TEST_F(SnapshotFixture, TruncatedSnapshotFailsDecodeLoudly) {
   auto base = controller(base_config()).checkpoint_baseline();
   net::BinaryWriter writer;
