@@ -4,26 +4,6 @@
 
 namespace re::bgp {
 
-std::vector<CollectorUpdate> UpdateLog::in_window(const net::Prefix& prefix,
-                                                  net::SimTime begin,
-                                                  net::SimTime end) const {
-  std::vector<CollectorUpdate> out;
-  for (const auto& u : updates_) {
-    if (u.prefix == prefix && u.time >= begin && u.time < end) out.push_back(u);
-  }
-  return out;
-}
-
-std::size_t UpdateLog::count_in_window(const net::Prefix& prefix,
-                                       net::SimTime begin,
-                                       net::SimTime end) const {
-  std::size_t count = 0;
-  for (const auto& u : updates_) {
-    if (u.prefix == prefix && u.time >= begin && u.time < end) ++count;
-  }
-  return count;
-}
-
 std::unordered_map<net::Asn, AsPath> UpdateLog::rib_at(
     const net::Prefix& prefix, net::SimTime at) const {
   std::unordered_map<net::Asn, AsPath> rib;

@@ -69,15 +69,6 @@ class UpdateLog {
   }
   AsPath path(const CollectorUpdate& u) const { return paths_.path(u.path); }
 
-  // Updates for one prefix within [begin, end).
-  std::vector<CollectorUpdate> in_window(const net::Prefix& prefix,
-                                         net::SimTime begin,
-                                         net::SimTime end) const;
-
-  // Number of updates for `prefix` in [begin, end).
-  std::size_t count_in_window(const net::Prefix& prefix, net::SimTime begin,
-                              net::SimTime end) const;
-
   // The last announced path per peer for `prefix` as of `at` (peers whose
   // last message was a withdrawal are absent) — a RIB snapshot
   // reconstructed from updates, as one does with RouteViews RIB+updates.

@@ -67,14 +67,6 @@ std::optional<std::size_t> parse_thread_count(std::string_view text,
   return parse_positive_size(text);
 }
 
-std::size_t env_positive_size(const char* name, std::size_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  const auto parsed = parse_positive_size(env);
-  if (!parsed) die(name, env, "a positive integer");
-  return *parsed;
-}
-
 std::size_t env_thread_count(const char* name, std::size_t fallback) {
   const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') return fallback;

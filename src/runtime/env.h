@@ -1,18 +1,16 @@
 // Validated environment-variable parsing for the RE_* runtime knobs.
 //
-// The bare std::atol/std::atof parsers previously scattered across the
-// benches accepted anything: RE_TRIALS=abc silently fell back to the
-// default and RE_TRIALS=8garbage silently became 8, so a typo'd sweep ran
-// the wrong configuration without a word. These parsers are strict — the
-// whole string must be a number in range — and the env_* entry points
-// reject malformed values loudly (stderr + exit) instead of guessing,
-// because a multi-hour sweep run under the wrong knob is worse than no
-// sweep at all.
+// A bare std::atol/std::atof parse accepts anything: RE_THREADS=abc
+// silently falls back to a default and RE_THREADS=8garbage silently
+// becomes 8, so a typo'd sweep runs the wrong configuration without a
+// word. These parsers are strict — the whole string must be a number in
+// range — and the env_* entry points reject malformed values loudly
+// (stderr + exit) instead of guessing, because a multi-hour sweep run
+// under the wrong knob is worse than no sweep at all.
 //
-// The knobs read through here: RE_THREADS (pool width), RE_SCALE (bench
-// world size), RE_TRIALS and RE_WARM_TRIALS (bench_seeds sweeps),
-// RE_CHECK_SECONDS (re_check's seed-loop budget) and RE_TRACE
-// (re_survey/re_check span trace path).
+// The knobs read through here: RE_THREADS (pool width), RE_CHECK_SECONDS
+// (re_check's seed-loop budget) and RE_TRACE (re_survey/re_check span
+// trace path).
 #pragma once
 
 #include <cstddef>
@@ -38,10 +36,6 @@ std::optional<double> parse_positive_double(std::string_view text) noexcept;
 // clamps to 1. nullopt on anything else.
 std::optional<std::size_t> parse_thread_count(std::string_view text,
                                               std::size_t hardware) noexcept;
-
-// Reads env var `name` as a positive integer. Unset or empty -> fallback;
-// set but malformed -> diagnostic on stderr and exit(2).
-std::size_t env_positive_size(const char* name, std::size_t fallback);
 
 // Reads env var `name` as a thread count ("auto" or a positive integer —
 // see parse_thread_count). Unset or empty -> fallback; set but malformed

@@ -41,9 +41,10 @@ RelationshipInference RelationshipInference::infer(
     }
     collapsed.push_back(std::move(hops));
   }
+  std::unordered_map<net::Asn, std::size_t> degrees;
   for (const auto& [edge, present] : adjacency) {
-    ++result.degrees_[edge.a];
-    ++result.degrees_[edge.b];
+    ++degrees[edge.a];
+    ++degrees[edge.b];
   }
 
   // Pass 2 (Gao): anchor each path at its highest-degree AS; edges toward
@@ -58,7 +59,7 @@ RelationshipInference RelationshipInference::infer(
     if (hops.size() < 2) continue;
     std::size_t anchor = 0;
     for (std::size_t i = 1; i < hops.size(); ++i) {
-      if (result.degrees_[hops[i]] > result.degrees_[hops[anchor]]) anchor = i;
+      if (degrees[hops[i]] > degrees[hops[anchor]]) anchor = i;
     }
     for (std::size_t i = 0; i + 1 < hops.size(); ++i) {
       // Paths are receiver-first: hops[i] learned the route from
@@ -79,8 +80,8 @@ RelationshipInference RelationshipInference::infer(
   }
 
   for (const auto& [edge, v] : votes) {
-    const std::size_t da = result.degrees_[edge.a];
-    const std::size_t db = result.degrees_[edge.b];
+    const std::size_t da = degrees[edge.a];
+    const std::size_t db = degrees[edge.b];
     const double ratio =
         static_cast<double>(std::max(da, db)) /
         static_cast<double>(std::max<std::size_t>(1, std::min(da, db)));
@@ -117,11 +118,6 @@ std::optional<InferredRelationship> RelationshipInference::relationship(
   return rel;
 }
 
-std::size_t RelationshipInference::degree(net::Asn asn) const {
-  const auto it = degrees_.find(asn);
-  return it == degrees_.end() ? 0 : it->second;
-}
-
 std::unordered_set<net::Asn> RelationshipInference::customer_cone(
     net::Asn asn) const {
   // Adjacency: provider -> customers.
@@ -145,25 +141,6 @@ std::unordered_set<net::Asn> RelationshipInference::customer_cone(
     }
   }
   return cone;
-}
-
-std::vector<net::Asn> RelationshipInference::provider_free_ases() const {
-  std::unordered_set<net::Asn> all, has_provider;
-  for (const auto& [edge, rel] : edges_) {
-    all.insert(edge.a);
-    all.insert(edge.b);
-    if (rel == InferredRelationship::kProviderToCustomer) {
-      has_provider.insert(edge.b);
-    } else if (rel == InferredRelationship::kCustomerToProvider) {
-      has_provider.insert(edge.a);
-    }
-  }
-  std::vector<net::Asn> out;
-  for (const net::Asn asn : all) {
-    if (has_provider.count(asn) == 0) out.push_back(asn);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 RelationshipValidation validate_inference(

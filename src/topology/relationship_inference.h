@@ -62,18 +62,13 @@ class RelationshipInference {
   const std::map<AsEdge, InferredRelationship>& edges() const noexcept {
     return edges_;
   }
-  std::size_t degree(net::Asn asn) const;
 
   // Customer cone of `asn`: the set of ASes reachable by walking only
   // provider->customer edges downward (including `asn` itself).
   std::unordered_set<net::Asn> customer_cone(net::Asn asn) const;
 
-  // All ASes with no inferred provider (the inferred "clique" candidates).
-  std::vector<net::Asn> provider_free_ases() const;
-
  private:
   std::map<AsEdge, InferredRelationship> edges_;
-  std::unordered_map<net::Asn, std::size_t> degrees_;
 };
 
 // Validation against ground truth.

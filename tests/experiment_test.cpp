@@ -2,13 +2,16 @@
 // ecosystem: end-to-end behaviour the individual unit tests cannot see.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "core/classifier.h"
 #include "core/experiment.h"
 #include "core/validator.h"
 #include "obs/metrics.h"
 #include "probing/seeds.h"
+#include "runtime/rng_streams.h"
 #include "runtime/thread_pool.h"
 #include "topology/ecosystem.h"
 
@@ -231,6 +234,45 @@ TEST_F(ExperimentFixture, DeterministicRerun) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].inference, b[i].inference) << a[i].prefix.to_string();
   }
+}
+
+// Canonical text form of a Table 1, so two trial sweeps diff cheaply.
+std::string table1_fingerprint(const Table1& table) {
+  std::string out;
+  for (const auto& [inference, cell] : table.cells) {
+    out += to_string(inference) + ":" + std::to_string(cell.prefixes) + "/" +
+           std::to_string(cell.ases) + ";";
+  }
+  out += "total:" + std::to_string(table.total_prefixes) + "/" +
+         std::to_string(table.total_ases) +
+         ";excluded:" + std::to_string(table.excluded_loss);
+  return out;
+}
+
+TEST_F(ExperimentFixture, PooledTrialsMatchSerialTrials) {
+  // re_paper's multi-seed study runs whole controllers concurrently on
+  // the trial pool, sharing one ecosystem and seed list; each trial's
+  // Table 1 must be the one a serial sweep produces.
+  constexpr std::size_t kTrials = 4;
+  const auto trial = [&](std::size_t index) {
+    ExperimentConfig config;
+    config.experiment = ReExperiment::kInternet2;
+    config.seed = runtime::derive_stream_seed(777, index);
+    return table1_fingerprint(summarize_table1(classify_experiment(
+        ExperimentController(world().ecosystem, world().selection.seeds,
+                             config)
+            .run())));
+  };
+  std::vector<std::string> serial(kTrials), pooled(kTrials);
+  for (std::size_t i = 0; i < kTrials; ++i) serial[i] = trial(i);
+  runtime::ThreadPool pool(kTrials);
+  pool.parallel_for(kTrials, [&](std::size_t i) { pooled[i] = trial(i); });
+  for (std::size_t i = 0; i < kTrials; ++i) {
+    EXPECT_EQ(pooled[i], serial[i]) << "trial " << i;
+  }
+  // Distinct trial seeds give distinct runs: the check is not comparing
+  // one run with itself.
+  EXPECT_NE(serial[0], serial[1]);
 }
 
 TEST_F(ExperimentFixture, MixedPrefixesLeanTowardsRe) {

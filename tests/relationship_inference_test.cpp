@@ -2,6 +2,9 @@
 // validation against the ecosystem's planted ground truth.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <vector>
+
 #include "bgp/network.h"
 #include "topology/ecosystem.h"
 #include "topology/relationship_inference.h"
@@ -11,6 +14,25 @@ namespace {
 
 using bgp::AsPath;
 using net::Asn;
+
+// ASes with no inferred provider: the inferred "clique" candidates.
+std::vector<Asn> provider_free_ases(const RelationshipInference& inference) {
+  std::set<Asn> all, has_provider;
+  for (const auto& [edge, rel] : inference.edges()) {
+    all.insert(edge.a);
+    all.insert(edge.b);
+    if (rel == InferredRelationship::kProviderToCustomer) {
+      has_provider.insert(edge.b);
+    } else if (rel == InferredRelationship::kCustomerToProvider) {
+      has_provider.insert(edge.a);
+    }
+  }
+  std::vector<Asn> out;
+  for (const Asn asn : all) {
+    if (has_provider.count(asn) == 0) out.push_back(asn);
+  }
+  return out;
+}
 
 TEST(AsEdge, NormalizesOrder) {
   EXPECT_EQ(AsEdge::of(Asn{5}, Asn{2}), (AsEdge{Asn{2}, Asn{5}}));
@@ -49,8 +71,10 @@ TEST(RelationshipInference, PrependsCollapsed) {
       AsPath{Asn{30}, Asn{1}, Asn{20}},
   };
   const auto inference = RelationshipInference::infer(paths);
-  // Degree of 1 counts each neighbor once despite prepends.
-  EXPECT_EQ(inference.degree(Asn{1}), 3u);
+  // Prepends add neither a self-edge nor a second copy of an edge: 1's
+  // three neighbors plus 20-200 make four edges.
+  EXPECT_EQ(inference.edge_count(), 4u);
+  EXPECT_FALSE(inference.relationship(Asn{1}, Asn{1}).has_value());
   EXPECT_TRUE(inference.relationship(Asn{1}, Asn{20}).has_value());
 }
 
@@ -187,7 +211,7 @@ TEST(RelationshipInference, Tier1sAreProviderFree) {
     if (++announced >= 80) break;
   }
   const auto inference = RelationshipInference::infer(observed);
-  const auto top = inference.provider_free_ases();
+  const auto top = provider_free_ases(inference);
   // Provider-free ASes should be (almost all) true summits: tier-1s or
   // provider-less R&E networks (Internet2, GEANT, NORDUnet have only
   // peers). Gao-style inference occasionally mislabels a well-connected

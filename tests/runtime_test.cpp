@@ -200,19 +200,16 @@ TEST(EnvParseTest, EnvThreadCountReadsAutoFromEnvironment) {
 
 TEST(EnvParseTest, EnvHelpersFallBackWhenUnset) {
   ::unsetenv("RE_TEST_KNOB");
-  EXPECT_EQ(env_positive_size("RE_TEST_KNOB", 7), 7u);
   EXPECT_EQ(env_positive_double("RE_TEST_KNOB", 0.5), 0.5);
   ::setenv("RE_TEST_KNOB", "", 1);
-  EXPECT_EQ(env_positive_size("RE_TEST_KNOB", 7), 7u);
+  EXPECT_EQ(env_positive_double("RE_TEST_KNOB", 0.5), 0.5);
   ::setenv("RE_TEST_KNOB", "12", 1);
-  EXPECT_EQ(env_positive_size("RE_TEST_KNOB", 7), 12u);
+  EXPECT_EQ(env_positive_double("RE_TEST_KNOB", 0.5), 12.0);
   ::unsetenv("RE_TEST_KNOB");
 }
 
 TEST(EnvParseDeathTest, MalformedEnvValueAbortsLoudly) {
   ::setenv("RE_TEST_KNOB", "8garbage", 1);
-  EXPECT_EXIT(env_positive_size("RE_TEST_KNOB", 7), ::testing::ExitedWithCode(2),
-              "RE_TEST_KNOB");
   EXPECT_EXIT(env_positive_double("RE_TEST_KNOB", 0.5),
               ::testing::ExitedWithCode(2), "RE_TEST_KNOB");
   EXPECT_EXIT(env_thread_count("RE_TEST_KNOB", 1),

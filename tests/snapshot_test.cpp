@@ -1,15 +1,16 @@
 // Tests for the converged-world checkpoint/fork engine: snapshot
 // serialization round-trips, fork-vs-fresh bit-identity, resume-mid-sweep
 // equivalence, and the partial-convergence
-// window flags. The contracts here are exactly the ones the warm bench
-// paths rely on, so a regression fails loudly before it can poison a
-// sweep.
+// window flags. The contracts here are exactly the ones re_paper's
+// ablation sweeps and re_bench's warm trials rely on, so a regression
+// fails loudly before it can poison a sweep.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -237,7 +238,7 @@ TEST_F(SnapshotFixture, ForkVsFreshBitIdenticalSerial) {
 }
 
 TEST_F(SnapshotFixture, SharedBaselineSeedForksAcrossTrialSeeds) {
-  // The bench_seeds sweep shape: trials differ in `seed` but share
+  // A multi-trial sweep: trials differ in `seed` but share
   // `baseline_seed`, so one checkpoint serves all of them.
   auto trial_config = [](std::uint64_t seed) {
     ExperimentConfig config;
@@ -266,6 +267,100 @@ TEST_F(SnapshotFixture, IncompatibleCheckpointFallsBackToColdRun) {
   const ExperimentResult fallback = controller(other).run(base);
   EXPECT_EQ(result_digest(fallback), result_digest(cold));
 }
+
+// The sweep shapes of re_paper's ablations. Every variant is handed the
+// outage-free Internet2 baseline checkpoint: one that changes only what
+// follows the baseline (pacing, probe seeds) forks it, and one whose
+// baseline differs (schedule opening, ecosystem) is refused and runs
+// cold. Either way its digest is the cold run's.
+enum class ForkShape {
+  kShuffledSchedule,
+  kTwoMinutePacing,
+  kUnconvergedProbing,
+  kOneTarget,
+  kTwoTargets,
+  kThreeTargets,
+  kRouteAgeStripped,
+};
+
+struct ForkCase {
+  const char* name;
+  ForkShape shape;
+  bool forks;  // whether the variant is compatible with the checkpoint
+};
+
+// Names the case in test listings (the default prints raw bytes).
+void PrintTo(const ForkCase& c, std::ostream* os) { *os << c.name; }
+
+class ForkShapeTest : public SnapshotFixture,
+                      public ::testing::WithParamInterface<ForkCase> {};
+
+TEST_P(ForkShapeTest, WarmRunMatchesColdRun) {
+  ExperimentConfig config = base_config();
+  config.auto_plant_outages = false;
+  const auto base = controller(config).checkpoint_baseline();
+
+  const topo::Ecosystem* ecosystem = &world().ecosystem;
+  std::optional<topo::Ecosystem> stripped;
+  std::vector<probing::PrefixSeeds> seeds = world().selection.seeds;
+  const auto select = [&](int targets) {
+    const probing::SeedDatabase db = probing::SeedDatabase::generate(
+        world().ecosystem, probing::SeedGenParams{});
+    seeds = probing::select_probe_seeds(world().ecosystem, db, 11, targets)
+                .seeds;
+  };
+  switch (GetParam().shape) {
+    case ForkShape::kShuffledSchedule:
+      config.schedule = {{0, 2}, {3, 0}, {0, 0}, {0, 4}, {1, 0},
+                         {0, 1}, {4, 0}, {0, 3}, {2, 0}};
+      break;
+    case ForkShape::kTwoMinutePacing:
+      config.convergence_wait = 2 * net::kMinute;
+      break;
+    case ForkShape::kUnconvergedProbing:
+      config.convergence_wait = 20;
+      config.full_convergence = false;
+      break;
+    case ForkShape::kOneTarget:
+      select(1);
+      break;
+    case ForkShape::kTwoTargets:
+      select(2);
+      break;
+    case ForkShape::kThreeTargets:
+      select(3);
+      break;
+    case ForkShape::kRouteAgeStripped:
+      stripped = world().ecosystem;
+      for (const net::Asn member : stripped->members()) {
+        topo::AsRecord* record = stripped->directory().find(member);
+        record->traits.uses_route_age = false;
+        record->traits.ignores_as_path_length = false;
+      }
+      ecosystem = &*stripped;
+      break;
+  }
+
+  ExperimentController variant(*ecosystem, seeds, config);
+  EXPECT_EQ(variant.compatible(base), GetParam().forks);
+  const ExperimentResult warm = variant.run(base);
+  const ExperimentResult cold = variant.run();
+  EXPECT_EQ(result_digest(warm), result_digest(cold));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AblationSweeps, ForkShapeTest,
+    ::testing::Values(
+        ForkCase{"ShuffledSchedule", ForkShape::kShuffledSchedule, false},
+        ForkCase{"TwoMinutePacing", ForkShape::kTwoMinutePacing, true},
+        ForkCase{"UnconvergedProbing", ForkShape::kUnconvergedProbing, true},
+        ForkCase{"OneTarget", ForkShape::kOneTarget, true},
+        ForkCase{"TwoTargets", ForkShape::kTwoTargets, true},
+        ForkCase{"ThreeTargets", ForkShape::kThreeTargets, true},
+        ForkCase{"RouteAgeStripped", ForkShape::kRouteAgeStripped, false}),
+    [](const ::testing::TestParamInfo<ForkCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ------------------------------------------------------- resume mid-sweep
 

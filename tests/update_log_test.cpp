@@ -1,4 +1,4 @@
-// Tests for the collector update log (window queries, RIB reconstruction).
+// Tests for the collector update log (RIB reconstruction, clearing).
 #include <gtest/gtest.h>
 
 #include "bgp/update_log.h"
@@ -10,34 +10,11 @@ using net::Asn;
 using net::Prefix;
 
 const Prefix kPrefix = *Prefix::parse("163.253.63.0/24");
-const Prefix kOther = *Prefix::parse("10.0.0.0/8");
 
 // record() interns the path into the log's own table.
 void record(UpdateLog& log, net::SimTime t, Asn peer, bool withdraw,
             const AsPath& path = AsPath{}) {
   log.record(t, peer, kPrefix, withdraw, path);
-}
-
-TEST(UpdateLog, CountInWindowFiltersTimeAndPrefix) {
-  UpdateLog log;
-  record(log, 10, Asn{1}, false, AsPath{Asn{1}, Asn{9}});
-  record(log, 20, Asn{1}, false, AsPath{Asn{1}, Asn{8}, Asn{9}});
-  log.record(15, Asn{1}, kOther, false, AsPath{Asn{1}});
-  EXPECT_EQ(log.count_in_window(kPrefix, 0, 100), 2u);
-  EXPECT_EQ(log.count_in_window(kPrefix, 0, 15), 1u);
-  EXPECT_EQ(log.count_in_window(kPrefix, 20, 21), 1u);  // inclusive begin
-  EXPECT_EQ(log.count_in_window(kPrefix, 0, 10), 0u);   // exclusive end
-  EXPECT_EQ(log.count_in_window(kOther, 0, 100), 1u);
-}
-
-TEST(UpdateLog, InWindowReturnsMatchingUpdates) {
-  UpdateLog log;
-  record(log, 10, Asn{1}, false, AsPath{Asn{1}, Asn{9}});
-  record(log, 50, Asn{2}, true);
-  const auto window = log.in_window(kPrefix, 0, 60);
-  ASSERT_EQ(window.size(), 2u);
-  EXPECT_EQ(window[0].peer, Asn{1});
-  EXPECT_TRUE(window[1].withdraw);
 }
 
 TEST(UpdateLog, RibAtReconstructsLatestState) {

@@ -7,9 +7,9 @@ usage: python3 tools/coverage_map.py [--root DIR] [--build-dir DIR]
 Builds the tree at --root (default: this checkout) with `--coverage -O1`
 under --build-dir (default: <root>/build-coverage): the main CMake project
 in <build-dir>/main and re_bench from benchmark/ in <build-dir>/re_bench.
-Then it runs a fixed traffic list of production entry points (the 16
-paper benches at RE_SCALE=0.1, every example, re_check's fuzz and
-planted-fault gates, re_bench's four workloads), snapshots the line
+Then it runs a fixed traffic list of production entry points (the paper
+drivers at scale 0.1, every example, re_check's fuzz and planted-fault
+gates, re_bench's four workloads), snapshots the line
 counts, runs ctest and snapshots again. Every executable line of a file
 under src/ then falls into one of three sets:
 
@@ -36,14 +36,6 @@ from pathlib import Path
 
 FLAGS = "--coverage -O1"
 
-PAPER_BENCHES = [
-    "bench_table1", "bench_table2", "bench_table3", "bench_table4",
-    "bench_figure3", "bench_figure5", "bench_figure6", "bench_figure7",
-    "bench_figure8", "bench_seeds", "bench_implications",
-    "bench_related_work", "bench_ablation_pacing",
-    "bench_ablation_prepend_order", "bench_ablation_route_age",
-    "bench_ablation_vp_diversity",
-]
 
 PLAIN_EXAMPLES = [
     "quickstart", "niks_case_study", "peer_provider", "custom_topology",
@@ -78,11 +70,23 @@ def configure_and_build(source, build, jobs):
     run(["cmake", "--build", build, "-j", str(jobs)], cwd=source)
 
 
-def traffic(main, re_bench, work, env):
+def paper_drivers(root):
+    """Every executable bench/ builds (one per bench/*.cpp) but bench_micro.
+
+    A tree may build one main per table or figure, which reads RE_SCALE
+    and ignores argv, or the single re_paper, which takes --scale and
+    reads no RE_SCALE; traffic() passes both, so one script measures
+    either tree.
+    """
+    return sorted(path.stem for path in (root / "bench").glob("*.cpp")
+                  if path.stem != "bench_micro")
+
+
+def traffic(root, main, re_bench, work, env):
     """The production entry points whose reach defines 'reached'."""
-    benches = dict(env, RE_SCALE="0.1")
-    for name in PAPER_BENCHES:
-        run([main / "bench" / name], cwd=work, env=benches)
+    scaled = dict(env, RE_SCALE="0.1")
+    for name in paper_drivers(root):
+        run([main / "bench" / name, "--scale", "0.1"], cwd=work, env=scaled)
 
     examples = main / "examples"
     for name in PLAIN_EXAMPLES:
@@ -175,7 +179,7 @@ def main():
     work.mkdir()
     # The traffic measures the defaults: no inherited RE_* knob applies.
     env = {k: v for k, v in os.environ.items() if not k.startswith("RE_")}
-    traffic(main_build, bench_build, work, env)
+    traffic(root, main_build, bench_build, work, env)
     src = root / "src"
     reached, reached_fns = snapshot(build, src, args.jobs)
 
