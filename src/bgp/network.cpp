@@ -42,6 +42,7 @@ Speaker& BgpNetwork::add_speaker(net::Asn asn) {
   const auto index = static_cast<std::uint32_t>(speakers_.size());
   index_[asn] = index;
   speakers_.push_back(std::make_unique<Speaker>(asn, &paths_, &rib_, index));
+  rib_.set_speakers(index + 1);
   feeds_collector_.push_back(!collector_peers_.empty() &&
                              collector_peers_.count(asn) != 0);
   return *speakers_.back();
@@ -111,20 +112,20 @@ net::SimTime BgpNetwork::edge_delay(net::Asn from, net::Asn to,
   return base + static_cast<net::SimTime>(h % 20);
 }
 
-void BgpNetwork::enqueue(PrefixColumn& column, std::uint32_t id, net::Asn from,
+void BgpNetwork::enqueue(EdgeState& edge, std::uint32_t id, net::Asn from,
                          const Session& to_session, const UpdateMessage& update,
                          net::SimTime now) {
   const net::Asn to = to_session.neighbor;
   PendingMessage msg;
-  EdgeFlowState& flow = column.edge_flow[edge_key(from, to)];
-  msg.deliver_at = now + edge_delay(from, to, update.prefix, flow.sent);
-  ++flow.sent;
+  msg.deliver_at = now + edge_delay(from, to, update.prefix, edge.messages);
+  ++edge.messages;
+  edge.has_flow = true;
   // Per-(session, prefix) FIFO: an update for a prefix never overtakes an
   // earlier one on the same session (BGP runs over TCP).
-  if (msg.deliver_at <= flow.last_delivery) {
-    msg.deliver_at = flow.last_delivery;  // same tick: seq orders them
+  if (msg.deliver_at <= edge.last_delivery) {
+    msg.deliver_at = edge.last_delivery;  // same tick: seq orders them
   }
-  flow.last_delivery = msg.deliver_at;
+  edge.last_delivery = msg.deliver_at;
   msg.seq = next_seq_++;
   msg.from = from;
   msg.to = to;
@@ -158,27 +159,27 @@ void BgpNetwork::flush_exports(Speaker& from, const net::Prefix& prefix,
     if (from.session_failed(session.neighbor, prefix)) continue;
     const std::uint64_t key = edge_key(from.asn(), session.neighbor);
     auto announcement = probe.announcement(session);
-    auto it = column.sent.find(key);
+    // One lookup per edge: the entry found here is the one enqueue updates.
+    auto it = column.edges.find(key);
+    const bool sent = it != column.edges.end() && it->second.has_sent;
     if (announcement) {
-      if (it != column.sent.end()) {
-        if (!it->second.withdrawn && it->second.path == announcement->path &&
-            it->second.origin == announcement->origin) {
-          continue;  // nothing new to say
-        }
-        // Reuse the slot located by find() instead of probing again.
-        it->second = SentState{false, announcement->path, announcement->origin};
-      } else {
-        column.sent.insert_or_assign(
-            key, SentState{false, announcement->path, announcement->origin});
+      if (sent && !it->second.sent.withdrawn &&
+          it->second.sent.path == announcement->path &&
+          it->second.sent.origin == announcement->origin) {
+        continue;  // nothing new to say
       }
-      enqueue(column, id, from.asn(), session, *announcement, now);
+      EdgeState& edge =
+          it != column.edges.end() ? it->second : column.edges[key];
+      edge.sent = SentState{false, announcement->origin, announcement->path};
+      edge.has_sent = true;
+      enqueue(edge, id, from.asn(), session, *announcement, now);
     } else {
-      if (it == column.sent.end() || it->second.withdrawn) continue;
-      it->second = SentState{};
+      if (!sent || it->second.sent.withdrawn) continue;
+      it->second.sent = SentState{};
       UpdateMessage withdraw;
       withdraw.prefix = prefix;
       withdraw.withdraw = true;
-      enqueue(column, id, from.asn(), session, withdraw, now);
+      enqueue(it->second, id, from.asn(), session, withdraw, now);
     }
   }
   if (feeds_collector_[from.index()]) record_collector(from, prefix, now);
@@ -198,10 +199,10 @@ void BgpNetwork::record_collector(const Speaker& s, const net::Prefix& prefix,
     const PathId exported = paths_.prepended(view->path, peer, 1);
     if (it != collector_sent.end()) {
       if (!it->second.withdrawn && it->second.path == exported) return;
-      it->second = SentState{false, exported, view->origin};
+      it->second = SentState{false, view->origin, exported};
     } else {
       collector_sent.insert_or_assign(
-          peer, SentState{false, exported, view->origin});
+          peer, SentState{false, view->origin, exported});
     }
     log_.record(now, peer, prefix, false, paths_.span(exported));
   } else {
@@ -261,8 +262,12 @@ void BgpNetwork::fail_session(net::Asn a, net::Asn b, const net::Prefix& prefix)
       record_collector(*s, prefix, clock_.now());
     }
     // Forget what was sent over the dead session so that restoration
-    // re-advertises from scratch.
-    rib_.write(channel_for(prefix)).sent.erase(edge_key(local, remote));
+    // re-advertises from scratch; the edge's flow state stays.
+    auto& edges = rib_.write(channel_for(prefix)).edges;
+    if (auto it = edges.find(edge_key(local, remote)); it != edges.end()) {
+      it->second.sent = SentState{};
+      it->second.has_sent = false;
+    }
   }
 }
 

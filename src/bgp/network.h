@@ -43,8 +43,9 @@
 //
 // All per-prefix state lives in the network's RibStore (rib_store.h): one
 // prefix column per channel slot, holding every speaker's RIB entry for
-// the prefix plus the prefix's per-edge duplicate-suppression, FIFO-clamp
-// and collector-feed state. Columns are shared copy-on-write between a
+// the prefix, dense by speaker index, plus the prefix's per-edge state
+// (duplicate suppression, FIFO clamp and jitter counter in one entry per
+// edge) and collector-feed state. Columns are shared copy-on-write between a
 // network, its checkpoints and their forks, so a fork costs O(prefixes)
 // handle copies plus a clone of each column it then writes, and clearing
 // a prefix drops its column.
@@ -341,9 +342,9 @@ class BgpNetwork {
                         net::SimTime now);
 
   // Queues `update` from `from` over `to_session` (one of `from`'s; the
-  // message carries its neighbor index). `column` is the update's prefix
-  // column (its edge flow state).
-  void enqueue(PrefixColumn& column, std::uint32_t channel, net::Asn from,
+  // message carries its neighbor index). `edge` is the (from, to) entry
+  // of the update's prefix column, whose flow state this advances.
+  void enqueue(EdgeState& edge, std::uint32_t channel, net::Asn from,
                const Session& to_session, const UpdateMessage& update,
                net::SimTime now);
 

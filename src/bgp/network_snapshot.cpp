@@ -171,20 +171,28 @@ std::uint64_t BgpNetwork::prefix_state_digest(const net::Prefix& prefix) const {
     w.u64(0);  // collector_sent
     w.u64(0);  // edge_flow
   } else {
-    w.u64(column->sent.size());
-    for (const auto* kv : net::sorted_by_key(column->sent)) {
-      encode_sent(kv->first, kv->second);
+    // The sent and flow tables are the edge entries that have each part.
+    const auto edges = net::sorted_by_key(column->edges);
+    std::uint64_t sent_rows = 0, flow_rows = 0;
+    for (const auto* kv : edges) {
+      sent_rows += kv->second.has_sent;
+      flow_rows += kv->second.has_flow;
+    }
+    w.u64(sent_rows);
+    for (const auto* kv : edges) {
+      if (kv->second.has_sent) encode_sent(kv->first, kv->second.sent);
     }
     w.u64(column->collector_sent.size());
     for (const auto* kv : net::sorted_by_key(column->collector_sent)) {
       encode_sent(edge_key(kv->first, net::Asn{}), kv->second);
     }
-    w.u64(column->edge_flow.size());
-    for (const auto* kv : net::sorted_by_key(column->edge_flow)) {
+    w.u64(flow_rows);
+    for (const auto* kv : edges) {
+      if (!kv->second.has_flow) continue;
       w.u32(edge_from(kv->first).value());
       w.u32(edge_to(kv->first).value());
       w.i64(kv->second.last_delivery);
-      w.u32(kv->second.sent);
+      w.u32(kv->second.messages);
     }
   }
 
@@ -352,28 +360,28 @@ void BgpNetwork::encode_state(net::BinaryWriter& w, const EncodeView& v) {
   }
 
   // The per-edge tables, each written as one network-wide table sorted by
-  // (from, to, prefix); collector feeds are edges (peer, AS 0).
-  std::vector<EdgeRow<EdgeFlowState>> flows;
-  std::vector<EdgeRow<SentState>> sent;
+  // (from, to, prefix); collector feeds are edges (peer, AS 0). The flow
+  // and sent tables are the edge entries that have each part.
+  std::vector<EdgeRow<EdgeState>> flows;
+  std::vector<EdgeRow<EdgeState>> sent;
   std::vector<EdgeRow<SentState>> collector_sent;
   for (const PrefixColumn* column : columns) {
-    for (const auto& [key, flow] : column->edge_flow) {
-      flows.push_back({key, column->prefix, &flow});
-    }
-    for (const auto& [key, state] : column->sent) {
-      sent.push_back({key, column->prefix, &state});
+    for (const auto& [key, edge] : column->edges) {
+      if (edge.has_flow) flows.push_back({key, column->prefix, &edge});
+      if (edge.has_sent) sent.push_back({key, column->prefix, &edge});
     }
     for (const auto& [peer, state] : column->collector_sent) {
       collector_sent.push_back(
           {edge_key(peer, net::Asn{}), column->prefix, &state});
     }
   }
-  encode_edge_rows(w, flows,
-                   [](net::BinaryWriter& out, const EdgeFlowState& flow) {
-                     out.i64(flow.last_delivery);
-                     out.u32(flow.sent);
-                   });
-  encode_edge_rows(w, sent, encode_sent_state);
+  encode_edge_rows(w, flows, [](net::BinaryWriter& out, const EdgeState& edge) {
+    out.i64(edge.last_delivery);
+    out.u32(edge.messages);
+  });
+  encode_edge_rows(w, sent, [](net::BinaryWriter& out, const EdgeState& edge) {
+    encode_sent_state(out, edge.sent);
+  });
 
   {
     std::vector<net::Asn> peers;
@@ -411,26 +419,44 @@ BgpNetwork::Snapshot BgpNetwork::Snapshot::decode(net::BinaryReader& r) {
   }
 
   // Prefix columns are rebuilt as their rows arrive; the slot order is
-  // first appearance (slot ids carry no meaning across a codec trip).
+  // first appearance (slot ids carry no meaning across a codec trip). Each
+  // column holds one slot per speaker record, so it costs speakers x
+  // sizeof(PrefixState) whatever the input says about it, and N speakers
+  // holding one prefix each would allocate O(N^2) from O(N) bytes. A
+  // column is therefore made only while all of them together stay within
+  // kMaxSlotBytesPerInputByte per input byte. Converged snapshots use
+  // under 1 (0.45 for a scale-0.03 full-RIB baseline); one stopped while
+  // its first 8 prefixes were still spreading uses 4.2.
+  constexpr std::uint64_t kMaxSlotBytesPerInputByte = 16;
+  const std::uint64_t speaker_count = r.length(1u << 24);
   net::FlatMap<net::Prefix, std::uint32_t> slot_of;
   std::vector<std::shared_ptr<PrefixColumn>> columns;
-  const auto column_for = [&](const net::Prefix& prefix) -> PrefixColumn& {
-    const auto [it, inserted] = slot_of.insert(
-        {prefix, static_cast<std::uint32_t>(columns.size())});
-    if (inserted) {
-      columns.push_back(std::make_shared<PrefixColumn>());
-      columns.back()->prefix = prefix;
+  const auto column_for = [&](const net::Prefix& prefix) -> PrefixColumn* {
+    if (const std::uint32_t* slot = slot_of.find_concurrent(prefix)) {
+      return columns[*slot].get();
     }
-    return *columns[it->second];
+    const std::uint64_t slot_bytes =
+        (columns.size() + 1) * speaker_count * sizeof(PrefixState);
+    if (slot_bytes > kMaxSlotBytesPerInputByte * r.size()) {
+      r.fail();
+      return nullptr;
+    }
+    slot_of.insert({prefix, static_cast<std::uint32_t>(columns.size())});
+    auto column = std::make_shared<PrefixColumn>();
+    column->prefix = prefix;
+    column->resize(static_cast<std::uint32_t>(speaker_count));
+    columns.push_back(std::move(column));
+    return columns.back().get();
   };
 
-  const std::uint64_t speaker_count = r.length(1u << 24);
   std::vector<PrefixState> rib;
   for (std::uint32_t i = 0; i < speaker_count && !r.failed(); ++i) {
     rib.clear();
     snap.speakers.push_back(Speaker::Snapshot::decode(r, rib));
     for (PrefixState& state : rib) {
-      column_for(state.prefix).states.insert_or_assign(i, std::move(state));
+      PrefixColumn* column = column_for(state.prefix);
+      if (column == nullptr) break;
+      column->emplace(i) = std::move(state);
     }
   }
   // Dense speaker indices are not encoded. restore() numbers speakers in
@@ -471,8 +497,9 @@ BgpNetwork::Snapshot BgpNetwork::Snapshot::decode(net::BinaryReader& r) {
     for (std::uint64_t i = 0; i < count && !r.failed(); ++i) {
       const net::Asn from{r.u32()};
       const net::Asn to{r.u32()};
-      PrefixColumn& column = column_for(decode_prefix(r));
-      decode_value(column, edge_key(from, to));
+      PrefixColumn* column = column_for(decode_prefix(r));
+      if (column == nullptr) break;
+      decode_value(*column, edge_key(from, to));
     }
   };
   const auto decode_sent = [&] {
@@ -482,14 +509,16 @@ BgpNetwork::Snapshot BgpNetwork::Snapshot::decode(net::BinaryReader& r) {
     state.origin = static_cast<Origin>(r.u8());
     return state;
   };
-  decode_rows([&](PrefixColumn& column, std::uint64_t edge) {
-    EdgeFlowState state;
-    state.last_delivery = r.i64();
-    state.sent = r.u32();
-    column.edge_flow.insert_or_assign(edge, state);
+  decode_rows([&](PrefixColumn& column, std::uint64_t key) {
+    EdgeState& edge = column.edges[key];
+    edge.last_delivery = r.i64();
+    edge.messages = r.u32();
+    edge.has_flow = true;
   });
-  decode_rows([&](PrefixColumn& column, std::uint64_t edge) {
-    column.sent.insert_or_assign(edge, decode_sent());
+  decode_rows([&](PrefixColumn& column, std::uint64_t key) {
+    EdgeState& edge = column.edges[key];
+    edge.sent = decode_sent();
+    edge.has_sent = true;
   });
 
   const std::uint64_t peer_count = r.length(1u << 24);

@@ -4,6 +4,25 @@
 
 namespace re::bgp {
 
+void PrefixColumn::resize(std::uint32_t speakers) {
+  if (speakers <= states.size()) return;
+  states.resize(speakers);
+  present.resize((speakers + 63) / 64);
+}
+
+PrefixState& PrefixColumn::emplace(std::uint32_t speaker) {
+  // A speaker added after the column was made grows it.
+  if (speaker >= states.size()) resize(speaker + 1);
+  present[speaker / 64] |= std::uint64_t{1} << (speaker % 64);
+  return states[speaker];
+}
+
+void PrefixColumn::erase(std::uint32_t speaker) {
+  if (!has(speaker)) return;
+  present[speaker / 64] &= ~(std::uint64_t{1} << (speaker % 64));
+  states[speaker] = PrefixState{};
+}
+
 std::uint64_t RibStore::fresh_stamp() {
   // Stamps only need to be distinct; 0 is never issued, so decoded
   // columns (owner 0) belong to no store.
@@ -31,6 +50,7 @@ PrefixColumn& RibStore::write(std::uint32_t slot) {
     auto column = std::make_shared<PrefixColumn>();
     column->prefix = prefixes_[slot];
     column->owner = stamp_;
+    column->resize(speakers_);
     handle = std::move(column);
   } else if (handle->owner != stamp_) {
     auto column = std::make_shared<PrefixColumn>(*handle);
@@ -46,8 +66,7 @@ PrefixColumn& RibStore::write(std::uint32_t slot) {
 PrefixState* RibStore::find_for_write(std::uint32_t speaker,
                                       const net::Prefix& prefix) {
   const std::uint32_t s = find_slot(prefix);
-  if (s == kNoSlot || columns_[s] == nullptr ||
-      columns_[s]->state(speaker) == nullptr) {
+  if (s == kNoSlot || columns_[s] == nullptr || !columns_[s]->has(speaker)) {
     return nullptr;
   }
   return &write(s).states[speaker];
@@ -55,14 +74,14 @@ PrefixState* RibStore::find_for_write(std::uint32_t speaker,
 
 PrefixState& RibStore::state_for_write(std::uint32_t speaker,
                                        const net::Prefix& prefix) {
-  PrefixState& state = write(slot(prefix)).states[speaker];
+  PrefixState& state = write(slot(prefix)).emplace(speaker);
   state.prefix = prefix;
   return state;
 }
 
 void RibStore::erase(std::uint32_t speaker, const net::Prefix& prefix) {
   if (find_for_write(speaker, prefix) == nullptr) return;
-  write(find_slot(prefix)).states.erase(speaker);
+  write(find_slot(prefix)).erase(speaker);
 }
 
 void RibStore::share(std::vector<net::Prefix>& prefixes,

@@ -3,11 +3,13 @@
 // All per-prefix BGP state lives in one place: a PrefixColumn per prefix
 // slot. A column holds every speaker's PrefixState for the prefix (Adj-RIB-
 // In as a vector sorted by neighbor, Loc-RIB best, origination, and an
-// out-of-line damping table), keyed sparsely by the dense speaker index,
-// plus the prefix's per-directed-edge state: what was last sent on each
-// edge (duplicate suppression), the edge's FIFO clamp and jitter counter,
-// and what each collector feed last recorded. Slot ids are the network's
-// channel ids, so clearing a prefix drops one column.
+// out-of-line damping table), dense by speaker index: one slot per speaker
+// of the network plus a presence bit, because nearly every prefix reaches
+// nearly every speaker. It also holds the prefix's per-directed-edge state
+// in one map: what was last sent on each edge (duplicate suppression) and
+// the edge's FIFO clamp and jitter counter; and what each collector feed
+// last recorded. Slot ids are the network's channel ids, so clearing a
+// prefix drops one column.
 //
 // A RibStore holds its columns through shared handles, which is what makes
 // checkpoint/fork cheap: a snapshot copies the handle vector (one pointer
@@ -24,7 +26,7 @@
 // stamp, so every column it held becomes read-only for everyone. A column
 // is therefore immutable from the moment any second holder can see it,
 // and concurrent forks read shared columns without synchronization (all
-// read paths use the stat-free FlatMap::find_concurrent).
+// read paths are plain loads or the stat-free FlatMap::find_concurrent).
 #pragma once
 
 #include <cstdint>
@@ -52,7 +54,8 @@ struct OriginationOptions {
 };
 
 // One speaker's state for one prefix. Kept small (see the static_assert
-// below): a warm fork clones every state of each column it writes.
+// below): every slot of a column pays sizeof(PrefixState), present or not,
+// and a warm fork clones every slot of each column it writes.
 struct PrefixState {
   net::Prefix prefix;
   // One route per neighbor that currently advertises the prefix to us,
@@ -67,23 +70,30 @@ struct PrefixState {
   DampingTable damping;  // out of line, null until the first penalty
 };
 static_assert(sizeof(PrefixState) <= 136,
-              "PrefixState is copied per speaker on every column clone");
+              "every column slot pays sizeof(PrefixState), present or not");
 
 // What was last sent on a directed edge for a prefix (announce content or
 // withdrawal), to suppress duplicate updates.
 struct SentState {
   bool withdrawn = true;
-  PathId path;
   Origin origin = Origin::kIgp;
+  PathId path;
 };
 
-// Per-(directed edge, prefix) flow state: the FIFO clamp (BGP runs over
-// TCP — an update for a prefix never overtakes an earlier one on the same
-// session) and the message counter that keys the stateless jitter.
-struct EdgeFlowState {
+// Everything one column keeps per directed edge: the last update sent on
+// it (has_sent), and its flow state (has_flow): the FIFO clamp (BGP runs
+// over TCP — an update for a prefix never overtakes an earlier one on the
+// same session) and the message counter that keys the stateless jitter.
+// A failed session forgets what was sent but keeps the flow.
+struct EdgeState {
   net::SimTime last_delivery = 0;
-  std::uint32_t sent = 0;
+  std::uint32_t messages = 0;
+  SentState sent;
+  bool has_sent = false;
+  bool has_flow = false;
 };
+static_assert(sizeof(EdgeState) <= 24,
+              "one EdgeState per (edge, prefix) the prefix ever crossed");
 
 // A directed edge (from, to) packed so that key order is (from, to) order.
 inline std::uint64_t edge_key(net::Asn from, net::Asn to) noexcept {
@@ -100,18 +110,30 @@ struct PrefixColumn {
   net::Prefix prefix;
   // Stamp of the store allowed to write this column in place.
   std::uint64_t owner = 0;
-  // Speaker state by dense speaker index.
-  net::FlatMap<std::uint32_t, PrefixState> states;
+  // Speaker state by dense speaker index, one slot per speaker; bit i of
+  // `present` says whether states[i] holds a state (an absent slot holds a
+  // default PrefixState).
+  std::vector<PrefixState> states;
+  std::vector<std::uint64_t> present;
   // Per-directed-edge state by edge_key(from, to).
-  net::FlatMap<std::uint64_t, SentState> sent;
-  net::FlatMap<std::uint64_t, EdgeFlowState> edge_flow;
+  net::FlatMap<std::uint64_t, EdgeState> edges;
   // Collector-feed state by feeding peer.
   net::FlatMap<net::Asn, SentState> collector_sent;
 
   // Read-only lookup, safe on a column shared across threads.
   const PrefixState* state(std::uint32_t speaker) const noexcept {
-    return states.find_concurrent(speaker);
+    return has(speaker) ? &states[speaker] : nullptr;
   }
+  bool has(std::uint32_t speaker) const noexcept {
+    return speaker < states.size() &&
+           ((present[speaker / 64] >> (speaker % 64)) & 1) != 0;
+  }
+  // Grows the column to at least `speakers` slots.
+  void resize(std::uint32_t speakers);
+  // The speaker's state, default-created (growing the column) if absent.
+  PrefixState& emplace(std::uint32_t speaker);
+  // Resets the speaker's slot to a default, absent state.
+  void erase(std::uint32_t speaker);
 };
 
 class RibStore {
@@ -137,6 +159,8 @@ class RibStore {
   const net::Prefix& prefix(std::uint32_t slot) const noexcept {
     return prefixes_[slot];
   }
+  // The network's speaker count: the slots a column is created with.
+  void set_speakers(std::uint32_t count) noexcept { speakers_ = count; }
 
   // --- Columns --------------------------------------------------------------
 
@@ -191,6 +215,7 @@ class RibStore {
   std::vector<net::Prefix> prefixes_;  // slot -> prefix
   std::vector<Handle> columns_;        // slot -> column (null: none yet)
   std::uint64_t stamp_;
+  std::uint32_t speakers_ = 0;
   std::uint32_t last_slot_ = kNoSlot;  // slot() one-entry cache
 };
 

@@ -85,8 +85,13 @@ class BinaryReader {
     return n;
   }
 
+  // Marks the input bad: for a decoder that rejects what it read.
+  void fail() noexcept { failed_ = true; }
+
   bool failed() const noexcept { return failed_; }
   bool at_end() const noexcept { return pos_ == bytes_.size(); }
+  // Total input length, consumed or not.
+  std::size_t size() const noexcept { return bytes_.size(); }
   // True only when the whole stream was consumed without underrun — the
   // one check a decoder needs at the end.
   bool ok() const noexcept { return !failed_ && at_end(); }

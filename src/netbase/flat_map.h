@@ -2,16 +2,16 @@
 //
 // std::unordered_map is node-based: every insert allocates, every lookup
 // chases a pointer per bucket entry. The propagation engine keys its
-// per-speaker RIBs and per-edge suppression state through these maps
-// millions of times per sweep, so the cache misses dominate. FlatMap is a
+// per-edge suppression and flow state, session tables and prefix slots
+// through these maps millions of times per sweep, so the cache misses dominate. FlatMap is a
 // header-only linear-probing table with power-of-two capacity, a strong
 // 64-bit avalanche on top of the key hash (weak identity hashes like
 // std::hash<uint32_t> would otherwise cluster), tombstone deletion with
 // slot reuse, and cheap probe-length counters for perf diagnostics.
 //
 // Semantics intentionally match the std::unordered_map subset the engine
-// uses: find / operator[] / insert_or_assign / erase(key) /
-// erase(iterator) -> next iterator / erase_if / iteration / count.
+// uses: find / operator[] / insert / insert_or_assign / erase(key) /
+// erase(iterator) -> next iterator / reserve / clear / iteration / count.
 // Iterators and references are invalidated by rehash (any growing
 // insert), exactly like the std containers invalidate on rehash — the
 // call sites never hold references across inserts. Iteration order is
@@ -154,16 +154,6 @@ class FlatMap {
     used_ = 0;
   }
 
-  // Removes every element but keeps the table allocated at its current
-  // capacity — for scratch maps that refill to a similar size every
-  // iteration (clear() would force a re-grow from 16 slots each time).
-  void reset() {
-    std::fill(states_.begin(), states_.end(), SlotState::kEmpty);
-    std::fill(slots_.begin(), slots_.end(), value_type{});
-    size_ = 0;
-    used_ = 0;
-  }
-
   void reserve(std::size_t count) {
     std::size_t capacity = 16;
     while (capacity * 3 < count * 4) capacity *= 2;  // target load <= 0.75
@@ -236,19 +226,6 @@ class FlatMap {
     ++pos.index_;
     pos.skip();
     return pos;
-  }
-
-  // Erases every element matching `pred`; returns the number erased.
-  template <typename Pred>
-  std::size_t erase_if(Pred pred) {
-    std::size_t erased = 0;
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-      if (states_[i] == SlotState::kFull && pred(slots_[i])) {
-        erase_at(i);
-        ++erased;
-      }
-    }
-    return erased;
   }
 
   const ProbeStats& probe_stats() const noexcept { return probe_stats_; }
@@ -374,9 +351,6 @@ class FlatSet {
   std::size_t size() const noexcept { return map_.size(); }
   bool empty() const noexcept { return map_.empty(); }
   void clear() { map_.clear(); }
-  // Empties the set but keeps the slot array (see FlatMap::reset) — for
-  // per-run scratch sets that refill to a similar size every run.
-  void reset() { map_.reset(); }
   void reserve(std::size_t count) { map_.reserve(count); }
 
   const_iterator begin() const { return const_iterator(map_.begin()); }

@@ -91,16 +91,6 @@ TEST(FlatMap, EraseIteratorReturnsNext) {
   }
 }
 
-TEST(FlatMap, EraseIfCountsErased) {
-  FlatMap<std::uint32_t, int> map;
-  for (std::uint32_t i = 0; i < 50; ++i) map[i] = static_cast<int>(i);
-  const std::size_t erased =
-      map.erase_if([](const auto& kv) { return kv.second >= 40; });
-  EXPECT_EQ(erased, 10u);
-  EXPECT_EQ(map.size(), 40u);
-  EXPECT_FALSE(map.contains(45));
-}
-
 TEST(FlatMap, IterationCoversExactlyLiveEntries) {
   FlatMap<std::uint32_t, int> map;
   for (std::uint32_t i = 0; i < 300; ++i) map[i * 17] = static_cast<int>(i);

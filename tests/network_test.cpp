@@ -2,9 +2,11 @@
 // failures, collectors, and determinism.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "bgp/network.h"
+#include "bgp/rib_store.h"
 #include "netbase/binio.h"
 #include "topology/ecosystem.h"
 
@@ -27,6 +29,21 @@ struct DiamondFixture {
     network.connect_transit(Asn{4}, Asn{3});
   }
 };
+
+// The snapshot's column for `prefix`, or nullptr.
+const PrefixColumn* column_of(const BgpNetwork::Snapshot& snap,
+                              const Prefix& prefix) {
+  for (std::size_t i = 0; i < snap.prefixes.size(); ++i) {
+    if (snap.prefixes[i] == prefix) return snap.columns[i].get();
+  }
+  return nullptr;
+}
+
+std::vector<std::uint8_t> encode(const BgpNetwork::Snapshot& snap) {
+  net::BinaryWriter writer;
+  snap.encode(writer);
+  return writer.bytes();
+}
 
 TEST(BgpNetwork, PropagatesAnnouncementToAll) {
   DiamondFixture f;
@@ -358,6 +375,166 @@ TEST(BgpNetwork, AddSpeakerIdempotent) {
   Speaker& b = network.add_speaker(Asn{5});
   EXPECT_EQ(&a, &b);
   EXPECT_EQ(network.speaker_count(), 1u);
+}
+
+// ------------------------------------------------------- prefix columns
+
+TEST(BgpNetwork, ColumnsHoldOneSlotPerSpeaker) {
+  // AS 9 peers with edge AS 3 and is the last speaker added. 3 exports no
+  // provider-learned route to a peer, so 9's slot stays empty; it is still
+  // a slot. The column holds one per speaker when created, when a fork
+  // clones it and when decoded.
+  DiamondFixture f;
+  f.network.connect_peering(Asn{3}, Asn{9});
+  f.network.announce(Asn{1}, kPrefix);
+  f.network.run_to_convergence();
+  const std::size_t speakers = f.network.speaker_count();
+  ASSERT_EQ(speakers, 5u);
+  const BgpNetwork::Snapshot snap = f.network.checkpoint();
+  const PrefixColumn* created = column_of(snap, kPrefix);
+  ASSERT_NE(created, nullptr);
+  EXPECT_EQ(created->states.size(), speakers);
+  EXPECT_NE(created->state(f.network.speaker(Asn{3})->index()), nullptr);
+  EXPECT_EQ(created->state(f.network.speaker(Asn{9})->index()), nullptr);
+
+  const auto fork = snap.fork();
+  fork->set_origin_prepend(Asn{1}, kPrefix, 2);
+  fork->run_to_convergence();
+  const BgpNetwork::Snapshot forked = fork->checkpoint();
+  const PrefixColumn* cloned = column_of(forked, kPrefix);
+  ASSERT_NE(cloned, nullptr);
+  EXPECT_NE(cloned, created);  // the fork's first write cloned it
+  EXPECT_EQ(cloned->states.size(), speakers);
+
+  const std::vector<std::uint8_t> bytes = encode(snap);
+  net::BinaryReader reader(bytes);
+  const BgpNetwork::Snapshot decoded = BgpNetwork::Snapshot::decode(reader);
+  ASSERT_TRUE(reader.ok());
+  const PrefixColumn* read = column_of(decoded, kPrefix);
+  ASSERT_NE(read, nullptr);
+  EXPECT_EQ(read->states.size(), speakers);
+}
+
+TEST(BgpNetwork, SpeakerAddedAfterItsColumnWritesIt) {
+  // AS 7 joins as a customer of 2 after the prefix converged, so the
+  // column was made with one slot too few. The prepend change re-exports
+  // the prefix to 7, whose first write grows the column.
+  DiamondFixture f;
+  f.network.announce(Asn{1}, kPrefix);
+  f.network.run_to_convergence();
+  f.network.connect_transit(Asn{2}, Asn{7});
+  f.network.set_origin_prepend(Asn{1}, kPrefix, 1);
+  f.network.run_to_convergence();
+  const Route* best = f.network.speaker(Asn{7})->best(kPrefix);
+  ASSERT_NE(best, nullptr);
+  EXPECT_EQ(best->learned_from, Asn{2});
+  const BgpNetwork::Snapshot snap = f.network.checkpoint();
+  EXPECT_EQ(column_of(snap, kPrefix)->states.size(),
+            f.network.speaker_count());
+}
+
+TEST(BgpNetwork, FailedSessionForgetsWhatWasSentButKeepsItsFlow) {
+  // A failed session forgets what was last sent over it (restoration
+  // re-advertises from scratch) but keeps its FIFO clamp and jitter
+  // counter; both survive the codec, and a second encode of the decoded
+  // snapshot gives the same bytes.
+  DiamondFixture f;
+  f.network.announce(Asn{1}, kPrefix);
+  f.network.run_to_convergence();
+  f.network.fail_session(Asn{2}, Asn{1}, kPrefix);
+  f.network.run_to_convergence();
+  const BgpNetwork::Snapshot snap = f.network.checkpoint();
+  const PrefixColumn* column = column_of(snap, kPrefix);
+  ASSERT_NE(column, nullptr);
+  const EdgeState* failed =
+      column->edges.find_concurrent(edge_key(Asn{1}, Asn{2}));
+  ASSERT_NE(failed, nullptr);
+  EXPECT_FALSE(failed->has_sent);
+  EXPECT_TRUE(failed->has_flow);
+  EXPECT_GT(failed->messages, 0u);
+  const EdgeState* live =
+      column->edges.find_concurrent(edge_key(Asn{1}, Asn{4}));
+  ASSERT_NE(live, nullptr);
+  EXPECT_TRUE(live->has_sent);
+  EXPECT_TRUE(live->has_flow);
+
+  const std::vector<std::uint8_t> bytes = encode(snap);
+  net::BinaryReader reader(bytes);
+  const BgpNetwork::Snapshot decoded = BgpNetwork::Snapshot::decode(reader);
+  ASSERT_TRUE(reader.ok());
+  const EdgeState* read = column_of(decoded, kPrefix)->edges.find_concurrent(
+      edge_key(Asn{1}, Asn{2}));
+  ASSERT_NE(read, nullptr);
+  EXPECT_FALSE(read->has_sent);
+  EXPECT_TRUE(read->has_flow);
+  EXPECT_EQ(read->messages, failed->messages);
+  EXPECT_EQ(read->last_delivery, failed->last_delivery);
+  EXPECT_EQ(encode(decoded), bytes);
+}
+
+TEST(BgpNetwork, DecodeRejectsColumnsTheInputCannotPayFor) {
+  // A crafted snapshot: 1,024 speakers with no sessions, each holding one
+  // prefix no other speaker holds. It is about 190 KB, but decoding it
+  // into dense columns would take 1,024 columns of 1,024 slots (128 MiB).
+  // Decode must refuse it before allocating more than a small multiple of
+  // its length.
+  constexpr std::uint32_t kSpeakers = 1024;
+  net::BinaryWriter w;
+  w.u64(1);  // seed
+  w.i64(0);  // now
+  w.u64(0);  // next_seq
+  w.u64(1);  // path table: the implicit empty path only
+  w.u64(kSpeakers);
+  for (std::uint32_t i = 0; i < kSpeakers; ++i) {
+    Speaker::Snapshot speaker;
+    speaker.asn = Asn{i + 1};
+    PrefixState state;
+    state.prefix = Prefix(net::IPv4Address(0x0a000000u + (i << 8)), 24);
+    state.local = true;
+    const PrefixState* rib[] = {&state};
+    speaker.encode(w, rib);
+  }
+  w.u64(0);  // queue
+  w.u64(0);  // edge flows
+  w.u64(0);  // sent
+  w.u64(0);  // collector peers
+  w.u64(0);  // collector sent
+  UpdateLog{}.encode(w);
+  const std::vector<std::uint8_t> bytes = w.bytes();
+
+  net::BinaryReader reader(bytes);
+  const BgpNetwork::Snapshot decoded = BgpNetwork::Snapshot::decode(reader);
+  EXPECT_TRUE(reader.failed());
+  EXPECT_FALSE(reader.ok());
+  EXPECT_LE(decoded.columns.size() * kSpeakers * sizeof(PrefixState),
+            16 * bytes.size());
+  EXPECT_LT(decoded.columns.size(), kSpeakers);
+}
+
+TEST(RibStore, EraseThenReinsertLeavesADefaultState) {
+  RibStore store;
+  store.set_speakers(3);
+  PrefixState& state = store.state_for_write(1, kPrefix);
+  state.local = true;
+  state.local_since = 7;
+  state.in.push_back(Route{});
+  state.best = Route{};
+  state.decided_by = DecisionStep::kMed;
+  DampingConfig damping;
+  damping.enabled = true;
+  state.damping.record(Asn{2}, 1000.0, 7, damping);
+  store.erase(1, kPrefix);
+  EXPECT_EQ(store.state(1, kPrefix), nullptr);
+
+  const PrefixState& again = store.state_for_write(1, kPrefix);
+  EXPECT_EQ(again.prefix, kPrefix);
+  EXPECT_TRUE(again.in.empty());
+  EXPECT_FALSE(again.local);
+  EXPECT_EQ(again.local_since, 0);
+  EXPECT_FALSE(again.best.has_value());
+  EXPECT_EQ(again.decided_by, DecisionStep::kOnlyRoute);
+  EXPECT_TRUE(again.damping.empty());
+  EXPECT_EQ(store.column(kPrefix)->states.size(), 3u);
 }
 
 TEST(BgpNetwork, ProbeLengthsStayHealthy) {

@@ -22,6 +22,7 @@
 #include "netbase/clock.h"
 #include "obs/metrics.h"
 #include "probing/seeds.h"
+#include "runtime/thread_pool.h"
 #include "topology/ecosystem.h"
 
 namespace re::core {
@@ -186,6 +187,42 @@ TEST_F(SnapshotFixture, ConcurrentForksAreIndependentAndIdentical) {
   EXPECT_EQ(base.network.digest(), before);
 }
 
+TEST_F(SnapshotFixture, ConcurrentForksReadSharedColumnStatesInPlace) {
+  // Pool workers read every speaker's state of the baseline's shared
+  // columns at once while others fork it and rewrite one of them (the
+  // TSan target for PrefixColumn::state(), which must be a plain read).
+  // Every read sees what a serial read saw: the writers cloned the column.
+  const auto base = controller(base_config()).checkpoint_baseline();
+  const topo::MeasurementEndpoints& m = world().ecosystem.measurement();
+  const auto read_all = [&] {
+    std::uint64_t sum = 0;
+    for (const auto& column : base.network.columns) {
+      if (column == nullptr) continue;
+      for (std::uint32_t i = 0; i < column->states.size(); ++i) {
+        const bgp::PrefixState* state = column->state(i);
+        if (state == nullptr) continue;
+        sum = net::mix64(sum ^ i) + state->in.size();
+        if (state->best) sum = net::mix64(sum ^ state->best->path.value());
+      }
+    }
+    return sum;
+  };
+  const std::uint64_t serial = read_all();
+  runtime::ThreadPool pool(4);
+  std::vector<std::uint64_t> sums(8);
+  pool.parallel_for(sums.size(), [&](std::size_t i) {
+    if (i % 2 == 1) {
+      auto network = base.network.fork();
+      network->set_origin_prepend(m.internet2_re_origin, m.prefix, 2);
+      network->run_to_convergence();
+    }
+    sums[i] = read_all();
+  });
+  for (std::size_t i = 0; i < sums.size(); ++i) {
+    EXPECT_EQ(sums[i], serial) << i;
+  }
+}
+
 TEST_F(SnapshotFixture, CopyOnWriteSourceWritesLeaveSnapshotIntact) {
   // The network a checkpoint was taken from keeps sharing its columns
   // with the snapshot: its next write to a column must clone it, never
@@ -225,6 +262,29 @@ TEST_F(SnapshotFixture, StateDigestTakesNoCheckpoint) {
   EXPECT_EQ(checkpoints.value() - before, 0u);
   EXPECT_EQ(network->checkpoint().digest(), first);
   EXPECT_EQ(checkpoints.value() - before, 1u);
+}
+
+// An absolute check on checkpoint bytes: the full-RIB Internet2 baseline
+// of the scale-0.03 world (the fullrib_sweep world, re_bench's seed) must
+// keep this digest. Every other snapshot gate compares two runs of the
+// current code; this one catches a change that moves both, such as a new
+// in-memory layout that writes its tables differently.
+TEST(SnapshotDigestPin, FullRibBaselineAtScaleThreePercent) {
+  topo::EcosystemParams params = topo::EcosystemParams{}.scaled(0.03);
+  params.seed = 20250529;
+  const topo::Ecosystem ecosystem = topo::Ecosystem::generate(params);
+  const probing::SeedDatabase db =
+      probing::SeedDatabase::generate(ecosystem, probing::SeedGenParams{});
+  const probing::SelectionResult selection =
+      probing::select_probe_seeds(ecosystem, db, 11);
+  ExperimentConfig config;
+  config.experiment = ReExperiment::kInternet2;
+  config.full_rib_baseline = true;
+  config.seed = 502;
+  const auto base =
+      ExperimentController(ecosystem, selection.seeds, config)
+          .checkpoint_baseline();
+  EXPECT_EQ(base.network.digest(), 0x6e7c2ef3d1df85deull);
 }
 
 // ------------------------------------------------------- fork vs fresh
