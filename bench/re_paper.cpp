@@ -693,24 +693,14 @@ void section_related_work(double scale) {
   std::printf("(b) AS relationship inference from collector paths\n\n");
   std::vector<bgp::AsPath> observed;
   int announced = 0;
-  for (const net::Asn origin : eco.members()) {
-    const auto prefixes = eco.prefixes_of(origin);
-    if (prefixes.empty()) continue;
-    bgp::OriginationOptions options;
-    options.to_commodity_sessions =
-        eco.directory().find(origin)->traits.announce_to_commodity;
-    network.announce(origin, prefixes[0]->prefix, options);
-    network.run_to_convergence();
+  core::sweep_origins(eco, network, [&](net::Asn, const net::Prefix& prefix) {
     for (const net::Asn peer : eco.collector_peers()) {
-      if (const bgp::Route* best =
-              network.speaker(peer)->best(prefixes[0]->prefix)) {
+      if (const bgp::Route* best = network.speaker(peer)->best(prefix)) {
         observed.push_back(network.paths().path(best->path).prepended(peer, 1));
       }
     }
-    network.clear_prefix(prefixes[0]->prefix);
-    network.update_log().clear();
     ++announced;
-  }
+  });
   std::printf("  %zu vantage paths from %d origins\n", observed.size(),
               announced);
 

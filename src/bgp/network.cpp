@@ -510,7 +510,8 @@ void BgpNetwork::clear_prefix(const net::Prefix& prefix) {
   // One column drop removes every speaker's RIB entry and the per-edge
   // send, FIFO-clamp and flow-counter history: a prefix announced after a
   // clear sees the exact timeline a fresh network would give it
-  // (rib_survey's batched sweeps rely on this for solo/batch identity).
+  // (core::sweep_origins relies on this: each origin's views do not depend
+  // on the origins swept before it).
   const std::uint32_t id = rib_.find_slot(prefix);
   if (id != RibStore::kNoSlot) rib_.drop(id);
   for (const auto& s : speakers_) s->clear_prefix(prefix);  // failures

@@ -1,5 +1,7 @@
 #include "core/prepend_analysis.h"
 
+#include <unordered_map>
+
 namespace re::core {
 
 std::string to_string(PrependClass c) {
@@ -36,6 +38,10 @@ PrependClass classify_prepending(const OriginRibView& view) {
 Table4 build_table4(const std::vector<PrefixInference>& inferences,
                     const RibSurveyResult& survey) {
   Table4 table;
+  std::unordered_map<std::uint32_t, const OriginRibView*> views;
+  for (const OriginRibView& view : survey.origins) {
+    views[view.origin.value()] = &view;
+  }
   for (const PrefixInference& p : inferences) {
     switch (p.inference) {
       case Inference::kAlwaysRe:
@@ -46,9 +52,9 @@ Table4 build_table4(const std::vector<PrefixInference>& inferences,
       default:
         continue;  // loss / oscillating / switch-to-commodity not tabulated
     }
-    const OriginRibView* view = survey.find(p.origin);
-    if (view == nullptr) continue;
-    const PrependClass cls = classify_prepending(*view);
+    const auto view = views.find(p.origin.value());
+    if (view == views.end()) continue;
+    const PrependClass cls = classify_prepending(*view->second);
     ++table.cells[cls][p.inference];
     ++table.totals[cls];
   }

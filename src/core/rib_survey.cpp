@@ -6,17 +6,10 @@
 
 namespace re::core {
 
-const OriginRibView* RibSurveyResult::find(net::Asn origin) const {
-  if (index_.empty()) {
-    for (std::size_t i = 0; i < origins.size(); ++i) {
-      index_[origins[i].origin.value()] = i;
-    }
-  }
-  const auto it = index_.find(origin.value());
-  return it == index_.end() ? nullptr : &origins[it->second];
-}
-
 namespace {
+
+// The survey network's edge-delay seed.
+constexpr std::uint64_t kSurveySeed = 4242;
 
 // Counts the trailing origin run in a path and identifies the AS directly
 // above the origin. Returns (prepends beyond the first copy, upstream) or
@@ -33,80 +26,70 @@ std::optional<std::pair<std::uint32_t, net::Asn>> origin_run(
 
 }  // namespace
 
-RibSurveyResult run_rib_survey(const topo::Ecosystem& ecosystem,
-                               std::uint64_t seed, RibSurveyOptions options) {
-  RibSurveyResult result;
-  bgp::BgpNetwork network(seed);
-  ecosystem.build_network(network);
-  const std::size_t batch_size = std::max<std::size_t>(options.batch_size, 1);
-
-  // The representative prefix per member, in member order.
-  std::vector<std::pair<net::Asn, const topo::PrefixRecord*>> sweep;
+void sweep_origins(
+    const topo::Ecosystem& ecosystem, bgp::BgpNetwork& network,
+    const std::function<void(net::Asn origin, const net::Prefix& prefix)>& read) {
   for (const net::Asn origin : ecosystem.members()) {
-    const topo::PrefixRecord* representative = nullptr;
-    for (const topo::PrefixRecord* p : ecosystem.prefixes_of(origin)) {
-      if (!p->covered) {
-        representative = p;
-        break;
-      }
-    }
-    if (representative != nullptr) sweep.emplace_back(origin, representative);
-  }
+    const auto prefixes = ecosystem.prefixes_of(origin);
+    const auto representative =
+        std::find_if(prefixes.begin(), prefixes.end(),
+                     [](const topo::PrefixRecord* p) { return !p->covered; });
+    if (representative == prefixes.end()) continue;
+    const net::Prefix& prefix = (*representative)->prefix;
 
-  for (std::size_t begin = 0; begin < sweep.size(); begin += batch_size) {
-    const std::size_t end = std::min(begin + batch_size, sweep.size());
-
-    // Announce the whole batch at one simulated instant, then converge
-    // every prefix in one interleaved wave.
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto& [origin, representative] = sweep[i];
-      const topo::AsRecord* record = ecosystem.directory().find(origin);
-      bgp::OriginationOptions origination;
-      origination.to_commodity_sessions = record->traits.announce_to_commodity;
-      network.announce(origin, representative->prefix, origination);
-    }
-    // The dirty set is exactly this batch's prefixes, so the scoped run
-    // performs the same deliveries a full sweep would (nothing else is in
-    // flight between batches) without walking the whole channel table.
+    bgp::OriginationOptions origination;
+    origination.to_commodity_sessions =
+        ecosystem.directory().find(origin)->traits.announce_to_commodity;
+    network.announce(origin, prefix, origination);
+    // The dirty set is exactly this prefix (nothing else is in flight
+    // between origins), so the scoped run performs the same deliveries a
+    // full run would without walking the whole channel table.
     network.run_dirty_to_convergence();
 
-    for (std::size_t i = begin; i < end; ++i) {
-      const auto& [origin, representative] = sweep[i];
-      OriginRibView view;
-      view.origin = origin;
+    read(origin, prefix);
 
-      // Collector RIBs: one path per collector peer.
-      for (const net::Asn peer : ecosystem.collector_peers()) {
-        const bgp::Speaker* speaker = network.speaker(peer);
-        const bgp::Route* best = speaker->best(representative->prefix);
-        if (best == nullptr) continue;
-        const auto run = origin_run(network.paths().span(best->path), origin);
-        if (!run) continue;
-        const auto [prepends, upstream] = *run;
-        if (ecosystem.is_re_transit(upstream)) {
-          view.re_prepends = std::max(view.re_prepends.value_or(0), prepends);
-        } else {
-          view.comm_prepends = std::max(view.comm_prepends.value_or(0), prepends);
-        }
-      }
-
-      // The RIPE-like vantage's selected route.
-      if (const bgp::Speaker* ripe = network.speaker(ecosystem.ripe())) {
-        if (const bgp::Route* best = ripe->best(representative->prefix)) {
-          view.ripe_has_route = true;
-          view.ripe_via_re = best->re_edge;
-          view.ripe_first_hop = best->learned_from;
-        }
-      }
-
-      result.origins.push_back(view);
-
-      // clear_prefix drops the prefix's state everywhere (RIBs, queues,
-      // advertisement history) — a withdrawal wave would be pure overhead.
-      network.clear_prefix(representative->prefix);
-    }
+    // clear_prefix drops the prefix's state everywhere (RIBs, queues,
+    // advertisement history) — a withdrawal wave would be pure overhead.
+    network.clear_prefix(prefix);
     network.update_log().clear();
   }
+}
+
+RibSurveyResult run_rib_survey(const topo::Ecosystem& ecosystem) {
+  RibSurveyResult result;
+  bgp::BgpNetwork network(kSurveySeed);
+  ecosystem.build_network(network);
+
+  sweep_origins(ecosystem, network, [&](net::Asn origin,
+                                        const net::Prefix& prefix) {
+    OriginRibView view;
+    view.origin = origin;
+
+    // Collector RIBs: one path per collector peer.
+    for (const net::Asn peer : ecosystem.collector_peers()) {
+      const bgp::Route* best = network.speaker(peer)->best(prefix);
+      if (best == nullptr) continue;
+      const auto run = origin_run(network.paths().span(best->path), origin);
+      if (!run) continue;
+      const auto [prepends, upstream] = *run;
+      if (ecosystem.is_re_transit(upstream)) {
+        view.re_prepends = std::max(view.re_prepends.value_or(0), prepends);
+      } else {
+        view.comm_prepends = std::max(view.comm_prepends.value_or(0), prepends);
+      }
+    }
+
+    // The RIPE-like vantage's selected route.
+    if (const bgp::Speaker* ripe = network.speaker(ecosystem.ripe())) {
+      if (const bgp::Route* best = ripe->best(prefix)) {
+        view.ripe_has_route = true;
+        view.ripe_via_re = best->re_edge;
+        view.ripe_first_hop = best->learned_from;
+      }
+    }
+
+    result.origins.push_back(view);
+  });
   return result;
 }
 

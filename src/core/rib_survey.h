@@ -2,25 +2,20 @@
 // RouteViews / RIPE RIS RIB files (Table 4) and from RIPE's own view
 // (Figure 5).
 //
-// Member prefixes are swept through the network in small batches
-// (announce a batch -> converge -> read vantage RIBs -> clear), which
-// keeps memory flat: prefixes of one origin share announcement policy, so
-// a single representative propagation is exact for all of them. Batching
-// several origins per convergence is exact too: every origin announces a
-// distinct prefix, and edge delays are a pure function of (seed, edge,
-// prefix, per-flow message index) — see BgpNetwork::edge_delay — so one
-// prefix's timeline is unaffected by the others sharing the queue; only
-// the constant announce-time offset differs, and the decision process
-// compares route ages relatively within a prefix.
+// Member prefixes are swept through the network one origin at a time
+// (announce -> converge -> read vantage RIBs -> clear), which keeps memory
+// flat: prefixes of one origin share announcement policy, so a single
+// representative propagation is exact for all of them.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "bgp/network.h"
 #include "netbase/asn.h"
+#include "netbase/prefix.h"
 #include "topology/ecosystem.h"
 
 namespace re::core {
@@ -42,25 +37,23 @@ struct OriginRibView {
 };
 
 struct RibSurveyResult {
-  std::vector<OriginRibView> origins;
-  const OriginRibView* find(net::Asn origin) const;
-
- private:
-  mutable std::unordered_map<std::uint32_t, std::size_t> index_;
+  std::vector<OriginRibView> origins;  // member order
 };
 
-struct RibSurveyOptions {
-  // Member origins propagated per announce -> converge -> clear cycle.
-  // Any value produces bit-identical per-origin views (see above); larger
-  // batches amortize convergence rounds, at the cost of proportionally
-  // more transient RIB state held at once. 0 is treated as 1.
-  std::size_t batch_size = 8;
-};
+// The one member sweep. For each member with an uncovered prefix, in
+// member order: announce its first uncovered prefix with the member's
+// planted origination (commodity sessions only if it announces to
+// commodity), converge the dirty set, call `read(origin, prefix)` while
+// the prefix is converged, then clear the prefix and the update log so
+// the next origin sees a fresh network's timeline. `network` must have
+// nothing in flight on entry: each convergence runs only the dirty set.
+void sweep_origins(
+    const topo::Ecosystem& ecosystem, bgp::BgpNetwork& network,
+    const std::function<void(net::Asn origin, const net::Prefix& prefix)>& read);
 
-// Runs the sweep over every member origin. Building the network and
-// propagating ~2.6K origins takes tens of seconds at paper scale.
-RibSurveyResult run_rib_survey(const topo::Ecosystem& ecosystem,
-                               std::uint64_t seed = 4242,
-                               RibSurveyOptions options = {});
+// Sweeps every member origin through a network of its own. Building the
+// network and propagating ~2.6K origins takes about ten seconds at paper
+// scale.
+RibSurveyResult run_rib_survey(const topo::Ecosystem& ecosystem);
 
 }  // namespace re::core

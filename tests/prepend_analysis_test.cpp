@@ -67,6 +67,26 @@ TEST(Table4, SkipsOriginsAbsentFromSurvey) {
   EXPECT_EQ(table.cell(PrependClass::kEqual, Inference::kAlwaysRe), 0u);
 }
 
+TEST(Table4, CountsOriginAddedAfterEarlierBuild) {
+  // Each build joins against the survey as it is now: a view pushed after
+  // an earlier build is found by the next one.
+  RibSurveyResult survey;
+  survey.origins.push_back(make_view(1, 0, 0));
+  const std::vector<PrefixInference> inferences{
+      make_inference(1, 1, Inference::kAlwaysRe),
+      make_inference(2, 2, Inference::kAlwaysCommodity),
+  };
+  const Table4 before = build_table4(inferences, survey);
+  EXPECT_EQ(before.cell(PrependClass::kMoreToComm, Inference::kAlwaysCommodity),
+            0u);
+
+  survey.origins.push_back(make_view(2, 0, 2));  // R<C
+  const Table4 after = build_table4(inferences, survey);
+  EXPECT_EQ(after.cell(PrependClass::kEqual, Inference::kAlwaysRe), 1u);
+  EXPECT_EQ(after.cell(PrependClass::kMoreToComm, Inference::kAlwaysCommodity),
+            1u);
+}
+
 TEST(Table4, ShareZeroForEmptyColumn) {
   Table4 table;
   EXPECT_EQ(table.share(PrependClass::kEqual, Inference::kAlwaysRe), 0.0);

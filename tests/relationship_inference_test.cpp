@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "bgp/network.h"
+#include "core/rib_survey.h"
 #include "topology/ecosystem.h"
 #include "topology/relationship_inference.h"
 
@@ -126,25 +127,14 @@ TEST(RelationshipInference, RecoversEcosystemGroundTruth) {
   eco.build_network(network);
 
   std::vector<bgp::AsPath> observed;
-  int announced = 0;
-  for (const net::Asn origin : eco.members()) {
-    const auto prefixes = eco.prefixes_of(origin);
-    if (prefixes.empty()) continue;
-    bgp::OriginationOptions options;
-    options.to_commodity_sessions =
-        eco.directory().find(origin)->traits.announce_to_commodity;
-    network.announce(origin, prefixes[0]->prefix, options);
-    network.run_to_convergence();
+  core::sweep_origins(eco, network, [&](net::Asn, const net::Prefix& prefix) {
     for (const net::Asn peer : eco.collector_peers()) {
-      if (const bgp::Route* best =
-              network.speaker(peer)->best(prefixes[0]->prefix)) {
+      if (const bgp::Route* best = network.speaker(peer)->best(prefix)) {
         observed.push_back(
             network.paths().path(best->path).prepended(peer, 1));
       }
     }
-    network.clear_prefix(prefixes[0]->prefix);
-    if (++announced >= 120) break;  // plenty of paths for a test
-  }
+  });
   ASSERT_GT(observed.size(), 500u);
 
   const auto inference = RelationshipInference::infer(observed);
@@ -193,6 +183,7 @@ TEST(RelationshipInference, Tier1sAreProviderFree) {
   bgp::BgpNetwork network(17);
   eco.build_network(network);
 
+  // Own loop, not core::sweep_origins: these checks need default origination.
   std::vector<bgp::AsPath> observed;
   int announced = 0;
   for (const net::Asn origin : eco.members()) {
