@@ -26,6 +26,7 @@
 
 #include "bgp/network.h"
 #include "netbase/binio.h"
+#include "netbase/fnv1a.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -118,20 +119,6 @@ void BgpNetwork::restore(const Snapshot& snap) {
   log_ = snap.log;
 }
 
-namespace {
-
-std::uint64_t digest_bytes(std::span<const std::uint8_t> bytes) {
-  // FNV-1a over the canonical bytes, finished with a full avalanche.
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint8_t byte : bytes) {
-    h ^= byte;
-    h *= 1099511628211ull;
-  }
-  return net::mix64(h);
-}
-
-}  // namespace
-
 std::uint64_t BgpNetwork::prefix_state_digest(const net::Prefix& prefix) const {
   // Canonical *content* encoding of everything the network knows about one
   // prefix: per-speaker RIB/damping/failure state, per-edge send history
@@ -142,14 +129,22 @@ std::uint64_t BgpNetwork::prefix_state_digest(const net::Prefix& prefix) const {
   // churn, while per-prefix content and relative order do not (per-prefix
   // state independence — DESIGN.md §5e). This is the equivalence gate for
   // deferred catch-up; same-schedule runs can use the stricter
-  // state_digest.
+  // state_digest. The bytes are hashed record by record (one speaker, one
+  // edge table, the queue, the log slice), never held whole.
+  net::Fnv1a hash;
   net::BinaryWriter w;
+  const auto fold = [&] {
+    hash.add(w.bytes());
+    w.clear();
+  };
   w.u32(prefix.network().value());
   w.u8(prefix.length());
 
   w.u64(speakers_.size());
+  fold();
   for (const auto& speaker : speakers_) {  // insertion order: topology order
     speaker->encode_prefix_state(prefix, w);
+    fold();
   }
 
   // Per-edge state, each table in (from, to) order.
@@ -182,10 +177,12 @@ std::uint64_t BgpNetwork::prefix_state_digest(const net::Prefix& prefix) const {
     for (const auto* kv : edges) {
       if (kv->second.has_sent) encode_sent(kv->first, kv->second.sent);
     }
+    fold();
     w.u64(column->collector_sent.size());
     for (const auto* kv : net::sorted_by_key(column->collector_sent)) {
       encode_sent(edge_key(kv->first, net::Asn{}), kv->second);
     }
+    fold();
     w.u64(flow_rows);
     for (const auto* kv : edges) {
       if (!kv->second.has_flow) continue;
@@ -195,6 +192,7 @@ std::uint64_t BgpNetwork::prefix_state_digest(const net::Prefix& prefix) const {
       w.u32(kv->second.messages);
     }
   }
+  fold();
 
   // In-flight messages, in (deliver_at, seq) order but with the seq values
   // themselves omitted — per-prefix relative order is run-invariant, the
@@ -217,6 +215,7 @@ std::uint64_t BgpNetwork::prefix_state_digest(const net::Prefix& prefix) const {
   } else {
     w.u64(0);
   }
+  fold();
 
   // Collector-log slice for the prefix, in record order.
   for (const CollectorUpdate& update : log_.updates()) {
@@ -228,7 +227,8 @@ std::uint64_t BgpNetwork::prefix_state_digest(const net::Prefix& prefix) const {
     w.u64(path.size());
     for (const net::Asn hop : path) w.u32(hop.value());
   }
-  return digest_bytes(w.bytes());
+  fold();
+  return hash.finish();
 }
 
 std::unique_ptr<BgpNetwork> BgpNetwork::Snapshot::fork() const {
@@ -548,7 +548,7 @@ std::uint64_t BgpNetwork::state_digest() const {
   net::BinaryWriter w;
   encode_state(w, EncodeView{seed_, clock_.now(), next_seq_, paths_, speakers,
                              queue, rib_.columns(), collector_peers_, log_});
-  return digest_bytes(w.bytes());
+  return net::Fnv1a{}.add(w.bytes()).finish();
 }
 
 void BgpNetwork::Snapshot::encode(net::BinaryWriter& w) const {
@@ -560,7 +560,7 @@ void BgpNetwork::Snapshot::encode(net::BinaryWriter& w) const {
 std::uint64_t BgpNetwork::Snapshot::digest() const {
   net::BinaryWriter w;
   encode(w);
-  return digest_bytes(w.bytes());
+  return net::Fnv1a{}.add(w.bytes()).finish();
 }
 
 }  // namespace re::bgp

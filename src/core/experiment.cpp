@@ -8,6 +8,7 @@
 #include "dataplane/fib.h"
 #include "obs/trace.h"
 #include "netbase/binio.h"
+#include "netbase/fnv1a.h"
 #include "netbase/rng.h"
 
 namespace re::core {
@@ -682,7 +683,14 @@ std::optional<ExperimentResult> ExperimentController::try_resume() {
 }
 
 std::uint64_t result_digest(const ExperimentResult& result) {
+  // Hashed record by record: the writer never holds more than the header,
+  // one window, one observation or the update log.
+  net::Fnv1a hash;
   net::BinaryWriter w;
+  const auto fold = [&] {
+    hash.add(w.bytes());
+    w.clear();
+  };
   w.u8(static_cast<std::uint8_t>(result.experiment));
   encode_prefix(w, result.measurement_prefix);
   w.u32(result.re_origin.value());
@@ -693,19 +701,20 @@ std::uint64_t result_digest(const ExperimentResult& result) {
   w.i64(result.re_phase_end);
   w.i64(result.experiment_end);
   w.u64(result.windows.size());
-  for (const RoundWindow& window : result.windows) encode_window(w, window);
+  fold();
+  for (const RoundWindow& window : result.windows) {
+    encode_window(w, window);
+    fold();
+  }
   w.u64(result.observations.size());
+  fold();
   for (const PrefixObservation& obs : result.observations) {
     encode_observation(w, obs);
+    fold();
   }
   result.update_log.encode(w);
-
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint8_t byte : w.bytes()) {
-    h ^= byte;
-    h *= 1099511628211ull;
-  }
-  return net::mix64(h);
+  fold();
+  return hash.finish();
 }
 
 }  // namespace re::core

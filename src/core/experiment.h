@@ -243,7 +243,9 @@ std::optional<PrefixObservation> decode_observation(
 // Content digest over a result's canonical serialization (windows,
 // observations, update log, phase boundaries). The equality the warm
 // paths are held to: fork-vs-fresh and resumed-vs-uninterrupted runs
-// must produce equal digests.
+// must produce equal digests. The encoding is hashed record by record
+// (header, each window, each observation, the update log), so peak memory
+// is one record, not the whole result.
 std::uint64_t result_digest(const ExperimentResult& result);
 
 }  // namespace re::core

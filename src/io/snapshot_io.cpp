@@ -3,21 +3,14 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "netbase/fnv1a.h"
+
 namespace re::io {
 
 namespace {
 
 constexpr char kMagic[4] = {'R', 'S', 'N', 'P'};
 constexpr std::uint32_t kVersion = 1;
-
-std::uint64_t fnv1a(const std::vector<std::uint8_t>& bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 void put_u32(std::uint8_t* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
@@ -67,7 +60,7 @@ bool FileCheckpointStore::save(const std::string& key,
   header[3] = kMagic[3];
   put_u32(header + 4, kVersion);
   put_u64(header + 8, bytes.size());
-  put_u64(header + 16, fnv1a(bytes));
+  put_u64(header + 16, net::Fnv1a{}.add(bytes).raw());
 
   // Write to a temp file, fsync-free rename into place: load() never sees
   // a half-written checkpoint, only the previous complete one.
@@ -116,7 +109,7 @@ std::optional<std::vector<std::uint8_t>> FileCheckpointStore::load(
   const bool read_ok =
       size == 0 || std::fread(bytes.data(), 1, size, file) == size;
   std::fclose(file);
-  if (!read_ok || fnv1a(bytes) != checksum) return std::nullopt;
+  if (!read_ok || net::Fnv1a{}.add(bytes).raw() != checksum) return {};
   return bytes;
 }
 

@@ -3,7 +3,7 @@
 #include <cstdio>
 
 #include "netbase/binio.h"
-#include "netbase/flat_map.h"  // net::mix64
+#include "netbase/fnv1a.h"
 
 namespace re::io {
 namespace {
@@ -13,15 +13,6 @@ constexpr std::uint32_t kVersion = 1;
 // A trace holds a fuzz schedule (tens of ops) or a shrunk reproducer; a
 // count beyond this is a corrupt or hostile file, not a real trace.
 constexpr std::uint32_t kMaxOps = 1u << 20;
-
-std::uint64_t checksum(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return net::mix64(h);
-}
 
 }  // namespace
 
@@ -37,7 +28,7 @@ std::vector<std::uint8_t> encode_trace(const check::Scenario& scenario) {
     writer.u32(op.b);
     writer.u32(op.c);
   }
-  const std::uint64_t sum = checksum(writer.bytes());
+  const std::uint64_t sum = net::Fnv1a{}.add(writer.bytes()).finish();
   writer.u64(sum);
   return writer.take();
 }
@@ -47,7 +38,7 @@ std::optional<check::Scenario> decode_trace(
   if (bytes.size() < 8 + 8) return std::nullopt;  // header + checksum
   const std::span<const std::uint8_t> body = bytes.first(bytes.size() - 8);
   net::BinaryReader trailer(bytes.subspan(bytes.size() - 8));
-  if (trailer.u64() != checksum(body)) return std::nullopt;
+  if (trailer.u64() != net::Fnv1a{}.add(body).finish()) return std::nullopt;
 
   net::BinaryReader reader(body);
   if (reader.u32() != kMagic || reader.u32() != kVersion) return std::nullopt;

@@ -36,6 +36,8 @@ class BinaryWriter {
 
   const std::vector<std::uint8_t>& bytes() const noexcept { return bytes_; }
   std::vector<std::uint8_t> take() noexcept { return std::move(bytes_); }
+  // Empties the writer but keeps its capacity, for reuse record by record.
+  void clear() noexcept { bytes_.clear(); }
 
  private:
   std::vector<std::uint8_t> bytes_;

@@ -1,13 +1,21 @@
 // Unit tests for the netbase substrate: IPv4 values, prefixes, the prefix
-// trie, RNG determinism, and the simulation clock.
+// trie, RNG determinism, the simulation clock, the FNV-1a digest and the
+// binary writer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <ostream>
 #include <set>
+#include <span>
+#include <string_view>
 #include <unordered_set>
+#include <vector>
 
 #include "netbase/asn.h"
+#include "netbase/binio.h"
 #include "netbase/clock.h"
+#include "netbase/fnv1a.h"
 #include "netbase/ipv4.h"
 #include "netbase/prefix.h"
 #include "netbase/prefix_trie.h"
@@ -340,6 +348,53 @@ TEST(SimClock, FormatsHms) {
   EXPECT_EQ(SimClock::format(0), "00:00:00");
   EXPECT_EQ(SimClock::format(kHour + 2 * kMinute + 18), "01:02:18");
   EXPECT_EQ(SimClock::format(10 * kHour), "10:00:00");
+}
+
+// ------------------------------------------------------------------- Fnv1a
+
+std::uint64_t fnv1a_raw(std::string_view text) {
+  const auto* data = reinterpret_cast<const std::uint8_t*>(text.data());
+  return Fnv1a{}.add({data, text.size()}).raw();
+}
+
+TEST(Fnv1a, KnownAnswersUnderTheBasisInUse) {
+  // Under the standard basis 0xcbf29ce484222325 these would read
+  // 0xcbf29ce484222325, 0xaf63dc4c8601ec8c and 0x85944171f73967e8.
+  EXPECT_EQ(fnv1a_raw(""), 0x14650fb0739d0383ull);
+  EXPECT_EQ(fnv1a_raw("a"), 0x44bd8ad473cd9906ull);
+  EXPECT_EQ(fnv1a_raw("foobar"), 0x88fad7c0a8ff07f2ull);
+  Fnv1a h;
+  h.add(std::span<const std::uint8_t>{});
+  EXPECT_EQ(h.raw(), Fnv1a::kBasis);
+  EXPECT_EQ(h.finish(), mix64(Fnv1a::kBasis));
+}
+
+TEST(Fnv1a, ChunkedStreamEqualsOneShot) {
+  Rng rng(38);
+  std::vector<std::uint8_t> bytes(10 * 1024);
+  for (std::uint8_t& b : bytes) b = static_cast<std::uint8_t>(rng.next());
+  const std::span<const std::uint8_t> all(bytes);
+  const Fnv1a one_shot = Fnv1a{}.add(all);
+  for (const std::size_t chunk : {1u, 2u, 7u, 4096u}) {
+    Fnv1a streamed;
+    for (std::size_t at = 0; at < all.size(); at += chunk) {
+      streamed.add(all.subspan(at, std::min(chunk, all.size() - at)));
+    }
+    EXPECT_EQ(streamed.raw(), one_shot.raw()) << chunk;
+    EXPECT_EQ(streamed.finish(), one_shot.finish()) << chunk;
+  }
+}
+
+TEST(BinaryWriter, ClearEmptiesBytesAndKeepsCapacity) {
+  BinaryWriter w;
+  for (std::uint64_t i = 0; i < 100; ++i) w.u64(i);
+  const std::size_t capacity = w.bytes().capacity();
+  ASSERT_GE(capacity, 800u);
+  w.clear();
+  EXPECT_TRUE(w.bytes().empty());
+  EXPECT_EQ(w.bytes().capacity(), capacity);
+  w.u8(7);
+  EXPECT_EQ(w.bytes(), std::vector<std::uint8_t>{7});
 }
 
 }  // namespace

@@ -287,6 +287,27 @@ TEST(SnapshotDigestPin, FullRibBaselineAtScaleThreePercent) {
   EXPECT_EQ(base.network.digest(), 0x6e7c2ef3d1df85deull);
 }
 
+// An absolute check on the two live-state digests: every other
+// prefix_state_digest gate compares two runs of the current code, so a
+// change to the bytes it hashes (a record skipped or hashed twice) would
+// move both sides alike and pass. Taken on the fixture's Internet2
+// baseline, then again with a prepend stopped mid-convergence, so every
+// section of the per-prefix encoding (speakers, sent, collector and flow
+// tables, queued messages, collector log) holds records.
+TEST_F(SnapshotFixture, LiveStateDigestsMatchPinnedValues) {
+  const auto base = controller(base_config()).checkpoint_baseline();
+  const auto network = base.network.fork();
+  const topo::MeasurementEndpoints& m = world().ecosystem.measurement();
+  EXPECT_EQ(network->prefix_state_digest(m.prefix), 0x05cfcf9f31bb998aull);
+  EXPECT_EQ(network->state_digest(), 0xf1119e935e2cae01ull);
+
+  network->set_origin_prepend(m.internet2_re_origin, m.prefix, 1);
+  ASSERT_FALSE(network->run_until(network->clock().now() + 15).fully_converged);
+  ASSERT_GT(network->pending_messages(), 0u);
+  EXPECT_EQ(network->prefix_state_digest(m.prefix), 0x82e1b42447774b17ull);
+  EXPECT_EQ(network->state_digest(), 0x7bd14189a3446f38ull);
+}
+
 // ------------------------------------------------------- fork vs fresh
 
 TEST_F(SnapshotFixture, ForkVsFreshBitIdenticalSerial) {

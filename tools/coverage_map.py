@@ -4,8 +4,9 @@
 usage: python3 tools/coverage_map.py [--root DIR] [--build-dir DIR]
                                      [--jobs N] [--counts-out FILE]
 
-Builds the tree at --root (default: this checkout) with `--coverage -O1`
-under --build-dir (default: <root>/build-coverage): the main CMake project
+Builds the tree at --root (default: this checkout) with `--coverage -O1
+-fprofile-update=atomic` under --build-dir (default:
+<root>/build-coverage): the main CMake project
 in <build-dir>/main and re_bench from benchmark/ in <build-dir>/re_bench.
 Then it runs a fixed traffic list of production entry points (the paper
 drivers at scale 0.1, every example, re_check's fuzz and planted-fault
@@ -34,7 +35,10 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-FLAGS = "--coverage -O1"
+# The per-round probe runs on the thread pool; gcov's counters are not
+# atomic by default, so concurrent hits could be lost and a line read as
+# unreached on one run and reached on the next.
+FLAGS = "--coverage -O1 -fprofile-update=atomic"
 
 
 PLAIN_EXAMPLES = [
